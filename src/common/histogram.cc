@@ -10,42 +10,6 @@ LogHistogram::LogHistogram() : infinite_(0), totalFinite_(0)
     // hold many per-epoch histograms and most of them stay empty.
 }
 
-size_t
-LogHistogram::numBuckets()
-{
-    return kTotalBuckets;
-}
-
-uint64_t
-LogHistogram::bucketLo(size_t index)
-{
-    if (index < kLinearMax)
-        return index;
-    const size_t rel = index - kLinearMax;
-    const int log2 = static_cast<int>(rel / kSubBuckets) + 4;
-    const int sub = static_cast<int>(rel % kSubBuckets);
-    return (uint64_t{1} << log2) +
-        ((uint64_t{1} << log2) / kSubBuckets) * sub;
-}
-
-uint64_t
-LogHistogram::bucketHi(size_t index)
-{
-    if (index < kLinearMax)
-        return index;
-    if (index + 1 >= kTotalBuckets)
-        return std::numeric_limits<uint64_t>::max() - 1;
-    return bucketLo(index + 1) - 1;
-}
-
-uint64_t
-LogHistogram::bucketMid(size_t index)
-{
-    const uint64_t lo = bucketLo(index);
-    const uint64_t hi = bucketHi(index);
-    return lo + (hi - lo) / 2;
-}
-
 void
 LogHistogram::merge(const LogHistogram &other)
 {

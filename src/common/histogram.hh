@@ -13,6 +13,7 @@
 #define RPPM_COMMON_HISTOGRAM_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +21,72 @@
 #include <vector>
 
 namespace rppm {
+
+namespace histogram_layout {
+
+// Values 0..kLinearMax-1 get one bucket each; above that, each
+// power-of-two decade is split into kSubBuckets sub-buckets.
+inline constexpr uint64_t kLinearMax = 16;
+inline constexpr int kSubBuckets = 4;
+inline constexpr int kMaxLog2 = 40; // reuse distances up to ~1.1e12
+inline constexpr size_t kBuckets =
+    kLinearMax + static_cast<size_t>(kMaxLog2 - 4) * kSubBuckets;
+
+/** Inclusive bounds and midpoint of every finite bucket. */
+struct BucketTable
+{
+    std::array<uint64_t, kBuckets> lo{};
+    std::array<uint64_t, kBuckets> hi{};
+    std::array<uint64_t, kBuckets> mid{};
+};
+
+constexpr BucketTable
+makeBucketTable()
+{
+    BucketTable t;
+    for (size_t i = 0; i < kBuckets; ++i) {
+        if (i < kLinearMax) {
+            t.lo[i] = i;
+            continue;
+        }
+        const size_t rel = i - kLinearMax;
+        const int log2 = static_cast<int>(rel / kSubBuckets) + 4;
+        const int sub = static_cast<int>(rel % kSubBuckets);
+        t.lo[i] = (uint64_t{1} << log2) +
+            ((uint64_t{1} << log2) / kSubBuckets) * sub;
+    }
+    for (size_t i = 0; i < kBuckets; ++i) {
+        if (i < kLinearMax)
+            t.hi[i] = i;
+        else if (i + 1 >= kBuckets)
+            t.hi[i] = std::numeric_limits<uint64_t>::max() - 1;
+        else
+            t.hi[i] = t.lo[i + 1] - 1;
+        t.mid[i] = t.lo[i] + (t.hi[i] - t.lo[i]) / 2;
+    }
+    return t;
+}
+
+inline constexpr BucketTable kTable = makeBucketTable();
+
+/** The buckets tile [0, UINT64_MAX-1] without gaps or overlaps, and
+ *  every midpoint lies inside its bucket. */
+constexpr bool
+tableIsConsistent()
+{
+    for (size_t i = 0; i < kBuckets; ++i) {
+        if (i + 1 < kBuckets && kTable.lo[i + 1] != kTable.hi[i] + 1)
+            return false;
+        if (kTable.lo[i] > kTable.mid[i] || kTable.mid[i] > kTable.hi[i])
+            return false;
+    }
+    return kTable.lo[0] == 0 &&
+        kTable.hi[kBuckets - 1] == std::numeric_limits<uint64_t>::max() - 1;
+}
+
+static_assert(tableIsConsistent());
+
+} // namespace histogram_layout
 
 /**
  * Log-bucketed histogram over non-negative 64-bit values, with a dedicated
@@ -102,17 +169,36 @@ class LogHistogram
             fn(kInfinity, infinite_);
     }
 
+    /** Samples in finite bucket @p index. */
+    uint64_t
+    bucketCount(size_t index) const
+    {
+        return counts_.empty() ? 0 : counts_[index];
+    }
+
     /** Number of buckets (excluding the infinity bucket). */
-    static size_t numBuckets();
+    static constexpr size_t numBuckets() { return kTotalBuckets; }
 
     /** Lower bound (inclusive) of bucket @p index. */
-    static uint64_t bucketLo(size_t index);
+    static constexpr uint64_t
+    bucketLo(size_t index)
+    {
+        return histogram_layout::kTable.lo[index];
+    }
 
     /** Upper bound (inclusive) of bucket @p index. */
-    static uint64_t bucketHi(size_t index);
+    static constexpr uint64_t
+    bucketHi(size_t index)
+    {
+        return histogram_layout::kTable.hi[index];
+    }
 
     /** Midpoint of bucket @p index, used as its representative value. */
-    static uint64_t bucketMid(size_t index);
+    static constexpr uint64_t
+    bucketMid(size_t index)
+    {
+        return histogram_layout::kTable.mid[index];
+    }
 
     /** Bucket index for @p value. Inline: profiler hot path. */
     static size_t
@@ -131,13 +217,9 @@ class LogHistogram
     }
 
   private:
-    // Values 0..kLinearMax-1 get one bucket each; above that, each
-    // power-of-two decade is split into kSubBuckets sub-buckets.
-    static constexpr uint64_t kLinearMax = 16;
-    static constexpr int kSubBuckets = 4;
-    static constexpr int kMaxLog2 = 40; // reuse distances up to ~1.1e12
-    static constexpr size_t kTotalBuckets =
-        kLinearMax + static_cast<size_t>(kMaxLog2 - 4) * kSubBuckets;
+    static constexpr uint64_t kLinearMax = histogram_layout::kLinearMax;
+    static constexpr int kSubBuckets = histogram_layout::kSubBuckets;
+    static constexpr size_t kTotalBuckets = histogram_layout::kBuckets;
 
     std::vector<uint64_t> counts_;
     uint64_t infinite_;

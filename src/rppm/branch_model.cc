@@ -1,7 +1,5 @@
 #include "rppm/branch_model.hh"
 
-#include <algorithm>
-
 namespace rppm {
 
 BranchModelCache &
@@ -35,26 +33,6 @@ epochBranchMissRate(const EpochProfile &epoch, const CoreConfig &core)
     const EntropyMissRateModel &model =
         BranchModelCache::instance().get(core.branch);
     return model.missRate(epoch.branches.averageLinearEntropy());
-}
-
-BranchComponent
-branchComponent(const EpochProfile &epoch, const CoreConfig &core,
-                double penalty_per_mispredict)
-{
-    BranchComponent result;
-    if (epoch.numBranches == 0)
-        return result;
-
-    const double miss_rate = epochBranchMissRate(epoch, core);
-    result.mispredicts =
-        miss_rate * static_cast<double>(epoch.numBranches);
-
-    // Eq. 1's mbpred x (cres + cfr), with (cres + cfr) evaluated as the
-    // replay-measured effective redirect cost: resolution + refill minus
-    // the back-end slack that would have stalled dispatch anyway.
-    result.cycles = result.mispredicts *
-        std::max(penalty_per_mispredict, 1.0);
-    return result;
 }
 
 } // namespace rppm

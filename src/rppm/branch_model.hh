@@ -25,9 +25,10 @@ namespace rppm {
 /**
  * Caches EntropyMissRateModel calibrations per predictor configuration so
  * design-space sweeps pay the calibration cost once per predictor.
- * Thread-safe: grid workers share the process-wide instance. Returned
- * references stay valid for the cache's lifetime (entries are never
- * evicted).
+ * Thread-safe: grid workers share the process-wide instance, so every
+ * lookup takes its lock; the thread model looks up once per thread, not
+ * per epoch. Returned references stay valid for the cache's lifetime
+ * (entries are never evicted).
  */
 class BranchModelCache
 {
@@ -46,27 +47,9 @@ class BranchModelCache
         RPPM_GUARDED_BY(mutex_);
 };
 
-/** Predicted branch-component cycles for one epoch. */
-struct BranchComponent
-{
-    double mispredicts = 0.0;
-    double cycles = 0.0;
-};
-
 /** Entropy-predicted misprediction probability of @p epoch on @p core. */
 double epochBranchMissRate(const EpochProfile &epoch,
                            const CoreConfig &core);
-
-/**
- * Evaluate the branch component of @p epoch on @p core.
- *
- * @param penalty_per_mispredict effective front-end redirect cost of one
- *        misprediction (resolution + refill beyond back-end slack), from
- *        the epoch's ILP replay
- */
-BranchComponent branchComponent(const EpochProfile &epoch,
-                                const CoreConfig &core,
-                                double penalty_per_mispredict);
 
 } // namespace rppm
 

@@ -1,207 +1,12 @@
 #include "rppm/ilp_model.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
-
-#include "common/assert.hh"
-
 namespace rppm {
 
-IlpResult
-replayMicroTrace(const MicroTrace &mt, const CoreConfig &core,
-                 const LoadLatencyFn &mem_latency,
-                 double fetch_stall_per_op, double branch_miss_rate)
+ReplayScratch &
+replayScratch()
 {
-    return replayMicroTrace(
-        mt, 0, core,
-        [&mem_latency](const MicroTraceOp &op, uint32_t, uint32_t) {
-            return mem_latency(op);
-        },
-        fetch_stall_per_op, branch_miss_rate);
-}
-
-IlpResult
-replayMicroTrace(const MicroTrace &mt, uint32_t trace,
-                 const CoreConfig &core,
-                 const IndexedLatencyFn &mem_latency,
-                 double fetch_stall_per_op, double branch_miss_rate)
-{
-    IlpResult result;
-    const size_t n = mt.ops.size();
-    if (n == 0)
-        return result;
-
-    // Idealized instruction-window replay: same structural constraints as
-    // the simulator core (width, ROB, IQ, dependences, FU contention) but
-    // with perfect branch prediction and I-cache, and statistical memory
-    // latencies. The achieved IPC is the epoch's effective dispatch rate.
-    std::vector<double> completion(n, 0.0);
-    std::vector<double> issue(n, 0.0);
-    std::vector<double> retire(n, 0.0);
-    std::vector<double> mshr_free(std::max<uint32_t>(core.mshrs, 1), 0.0);
-    std::array<std::vector<double>, kNumOpClasses> fu_free;
-    for (size_t c = 0; c < kNumOpClasses; ++c)
-        fu_free[c].assign(std::max<uint32_t>(core.fus[c].count, 1), 0.0);
-
-    double dispatch_cycle = 0.0;
-    uint32_t dispatched = 0;
-    double last_retire = 0.0;
-    double branch_res_sum = 0.0;
-    double branch_pen_sum = 0.0;
-    double flush_accum = 0.0;
-    uint64_t branch_count = 0;
-    uint64_t load_count = 0;
-
-    for (size_t i = 0; i < n; ++i) {
-        const MicroTraceOp &op = mt.ops[i];
-
-        // Expected I-cache stall delays the in-order front end.
-        dispatch_cycle += fetch_stall_per_op;
-
-        double earliest = 0.0;
-        if (i >= core.robSize)
-            earliest = std::max(earliest, retire[i - core.robSize]);
-        if (i >= core.issueQueueSize)
-            earliest = std::max(earliest, issue[i - core.issueQueueSize]);
-
-        earliest = std::ceil(earliest);
-        if (earliest > dispatch_cycle) {
-            dispatch_cycle = earliest;
-            dispatched = 0;
-        }
-        if (dispatched >= core.dispatchWidth) {
-            dispatch_cycle += 1.0;
-            dispatched = 0;
-        }
-        ++dispatched;
-        const double dispatch = dispatch_cycle;
-
-        double ready = dispatch + 1.0;
-        if (op.dep1 > 0 && op.dep1 <= i)
-            ready = std::max(ready, completion[i - op.dep1]);
-        if (op.dep2 > 0 && op.dep2 <= i)
-            ready = std::max(ready, completion[i - op.dep2]);
-
-        const size_t cls = static_cast<size_t>(op.op);
-        auto &fus = fu_free[cls];
-        auto unit = std::min_element(fus.begin(), fus.end());
-        double at = std::max(ready, *unit);
-
-        double latency = static_cast<double>(core.fus[cls].latency);
-        if (isMemory(op.op))
-            latency = mem_latency(op, trace, static_cast<uint32_t>(i));
-
-        // MSHR constraint: a load cannot issue before the MSHR ring has
-        // a free slot, bounding memory-level parallelism the same way
-        // the simulator core does.
-        if (op.op == OpClass::Load) {
-            const size_t slot = load_count % mshr_free.size();
-            at = std::max(at, mshr_free[slot]);
-            mshr_free[slot] = at + latency;
-            ++load_count;
-        }
-        *unit = at + static_cast<double>(core.fus[cls].interval);
-
-        completion[i] = at + latency;
-        issue[i] = at;
-        if (op.op == OpClass::Branch) {
-            branch_res_sum += completion[i] - dispatch;
-            // If this branch were mispredicted, the front end would
-            // restart at completion + refill; only the part beyond the
-            // back-end frontier (what has retired so far) is lost time.
-            branch_pen_sum += std::max(
-                0.0, completion[i] +
-                    static_cast<double>(core.frontendDepth) - last_retire);
-            ++branch_count;
-            // Flush emulation: mispredict every (1/rate)-th branch. The
-            // redirect stalls dispatch until the branch resolves plus
-            // the refill, and the window naturally pays the ramp-up.
-            flush_accum += branch_miss_rate;
-            if (flush_accum >= 1.0) {
-                flush_accum -= 1.0;
-                const double redirect = completion[i] +
-                    static_cast<double>(core.frontendDepth);
-                if (redirect > dispatch_cycle) {
-                    dispatch_cycle = redirect;
-                    dispatched = 0;
-                }
-            }
-        }
-        last_retire = std::max(last_retire, completion[i]);
-        retire[i] = last_retire;
-    }
-
-    result.ipc = last_retire > 0.0 ?
-        static_cast<double>(n) / last_retire :
-        static_cast<double>(core.dispatchWidth);
-    result.ipc = std::min(result.ipc,
-                          static_cast<double>(core.dispatchWidth));
-    if (branch_count > 0) {
-        result.branchResolution =
-            branch_res_sum / static_cast<double>(branch_count);
-        result.branchPenalty =
-            branch_pen_sum / static_cast<double>(branch_count);
-    }
-    return result;
-}
-
-IlpResult
-epochIlp(const EpochProfile &epoch, const CoreConfig &core,
-         const LoadLatencyFn &mem_latency, double fetch_stall_per_op,
-         double branch_miss_rate)
-{
-    return epochIlp(
-        epoch, core,
-        [&mem_latency](const MicroTraceOp &op, uint32_t, uint32_t) {
-            return mem_latency(op);
-        },
-        fetch_stall_per_op, branch_miss_rate);
-}
-
-IlpResult
-epochIlp(const EpochProfile &epoch, const CoreConfig &core,
-         const IndexedLatencyFn &mem_latency, double fetch_stall_per_op,
-         double branch_miss_rate)
-{
-    double weighted_cycles = 0.0;
-    double branch_res_sum = 0.0;
-    double branch_pen_sum = 0.0;
-    uint64_t ops = 0;
-    uint64_t traces_with_branches = 0;
-    for (size_t t = 0; t < epoch.microTraces.size(); ++t) {
-        const MicroTrace &mt = epoch.microTraces[t];
-        if (mt.ops.empty())
-            continue;
-        const IlpResult r = replayMicroTrace(
-            mt, static_cast<uint32_t>(t), core, mem_latency,
-            fetch_stall_per_op, branch_miss_rate);
-        weighted_cycles += static_cast<double>(mt.ops.size()) / r.ipc;
-        ops += mt.ops.size();
-        if (r.branchResolution > 0.0) {
-            branch_res_sum += r.branchResolution;
-            branch_pen_sum += r.branchPenalty;
-            ++traces_with_branches;
-        }
-    }
-
-    IlpResult result;
-    if (ops > 0) {
-        result.ipc = static_cast<double>(ops) / weighted_cycles;
-        if (traces_with_branches > 0) {
-            result.branchResolution =
-                branch_res_sum / static_cast<double>(traces_with_branches);
-            result.branchPenalty =
-                branch_pen_sum / static_cast<double>(traces_with_branches);
-        }
-        return result;
-    }
-
-    // No samples (empty epoch): fall back to the front-end width — the
-    // epoch contributes ~zero cycles anyway.
-    result.ipc = static_cast<double>(core.dispatchWidth);
-    result.branchResolution = static_cast<double>(core.frontendDepth);
-    return result;
+    thread_local ReplayScratch scratch;
+    return scratch;
 }
 
 } // namespace rppm

@@ -26,6 +26,14 @@ appendU32(std::string &buf, uint32_t v)
         buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
+/** Phase-1/2 entries are small next to the bundles; charge key +
+ *  payload envelope. */
+uint64_t
+entryBytes(const std::string &key, size_t payload)
+{
+    return key.size() + payload + 64;
+}
+
 } // namespace
 
 // ------------------------------------------------------------ MemoStats ---
@@ -61,6 +69,9 @@ PredictionMemo::PredictionMemo(
     : profile_(std::move(profile))
 {
     RPPM_REQUIRE(profile_ != nullptr, "null profile");
+    // The engine pins its profile; charge it here so the pool budget
+    // sees the real cost of keeping the engine around.
+    residentBytes_ = profile_->approxResidentBytes();
 }
 
 std::shared_ptr<const EpochStacks>
@@ -75,12 +86,21 @@ PredictionMemo::stacksFor(uint32_t thread, size_t epoch, bool llc_global)
         if (it != stacks_.end())
             return it->second;
     }
-    auto built = std::make_shared<const EpochStacks>(
-        profile_->threads[thread].epochs[epoch], llc_global);
+    const EpochProfile &ep = profile_->threads[thread].epochs[epoch];
+    auto built = std::make_shared<const EpochStacks>(ep, llc_global);
     MutexLock lock(mutex_);
     const auto [it, inserted] = stacks_.emplace(key, std::move(built));
-    if (inserted)
+    if (inserted) {
         ++stats_.stacksBuilt;
+        // One bundle ≈ five StatStacks (suffix counts and survival
+        // prefix sums over the bucket table) plus the lazily built
+        // per-op stack distances of the epoch's micro-trace loads,
+        // charged up front.
+        uint64_t bytes = 5 * 2 * LogHistogram::numBuckets() * sizeof(double);
+        for (const auto &mt : ep.microTraces)
+            bytes += mt.ops.size() * sizeof(EpochStacks::OpSd);
+        residentBytes_ += bytes;
+    }
     return it->second;
 }
 
@@ -105,6 +125,8 @@ PredictionMemo::threadFor(uint32_t thread, const std::string &key,
     MutexLock lock(mutex_);
     const auto [it, inserted] = threads_.emplace(key, std::move(pred));
     ++stats_.threadEvals;
+    if (inserted)
+        residentBytes_ += entryBytes(key, sizeof(ThreadPrediction));
     return it->second;
 }
 
@@ -153,6 +175,8 @@ PredictionMemo::predict(const MulticoreConfig &cfg, const RppmOptions &opts)
         MutexLock lock(mutex_);
         const auto [it, inserted] = sync_.emplace(sync_key, std::move(run));
         ++stats_.syncRuns;
+        if (inserted)
+            residentBytes_ += entryBytes(sync_key, sizeof(SyncModelResult));
         sync = it->second;
     }
 
@@ -186,26 +210,7 @@ uint64_t
 PredictionMemo::approxResidentBytes() const
 {
     MutexLock lock(mutex_);
-    // The engine pins its profile; charge it here so the pool budget
-    // sees the real cost of keeping the engine around.
-    uint64_t bytes = profile_->approxResidentBytes();
-    // One EpochStacks bundle ≈ five StatStacks (each a copied histogram
-    // plus survival prefix sums over the bucket table) plus the lazily
-    // built per-op stack distances of the epoch's micro-trace loads.
-    const uint64_t per_stack =
-        5 * 2 * LogHistogram::numBuckets() * sizeof(double);
-    for (const auto &[key, stacks] : stacks_) {
-        bytes += per_stack;
-        for (const auto &mt : stacks->epoch().microTraces)
-            bytes += mt.ops.size() * sizeof(EpochStacks::OpSd);
-    }
-    // Phase-1/2 entries are small next to the bundles; charge key +
-    // payload envelopes.
-    for (const auto &[key, pred] : threads_)
-        bytes += key.size() + sizeof(ThreadPrediction) + 64;
-    for (const auto &[key, sync] : sync_)
-        bytes += key.size() + sizeof(SyncModelResult) + 64;
-    return bytes;
+    return residentBytes_;
 }
 
 // --------------------------------------------------- PredictionMemoPool ---

@@ -81,7 +81,8 @@ class PredictionMemo
     MemoStats stats() const RPPM_EXCLUDES(mutex_);
 
     /** Approximate heap footprint of the engine *including* the profile
-     *  it keeps alive — the unit the pool's byte budget evicts in. */
+     *  it keeps alive — the unit the pool's byte budget evicts in. O(1):
+     *  kept up to date as the memo tables fill. */
     uint64_t approxResidentBytes() const RPPM_EXCLUDES(mutex_);
 
   private:
@@ -104,6 +105,8 @@ class PredictionMemo
     std::unordered_map<std::string, std::shared_ptr<const SyncModelResult>>
         sync_ RPPM_GUARDED_BY(mutex_);
     MemoStats stats_ RPPM_GUARDED_BY(mutex_);
+    // The profile plus every memo entry, charged once on insert.
+    uint64_t residentBytes_ RPPM_GUARDED_BY(mutex_) = 0;
 };
 
 /**

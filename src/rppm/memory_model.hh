@@ -82,10 +82,27 @@ struct EpochMemoryModel
     }
 
     /**
-     * Expected latency of one memory micro-op given its profiled reuse
-     * distances, capped at the LLC hit latency (the hit path only).
+     * Bind the precomputed per-op stack distances of the micro-traces so
+     * the expectedLatency* functions below can be used. Called once
+     * before the Eq.-1 window replays; a no-op on repeat calls.
      */
-    double expectedLatency(const MicroTraceOp &op) const;
+    void prepareReplay() const;
+
+    /**
+     * Expected latency of memory micro-op @p op, op @p idx of
+     * micro-trace @p trace of the epoch, from its precomputed expected
+     * stack distances, capped at the LLC hit latency (the hit path
+     * only). prepareReplay() must have been called. Inline: the window
+     * replay calls it once per memory op.
+     */
+    double
+    expectedLatency(const MicroTraceOp &op, uint32_t trace,
+                    uint32_t idx) const
+    {
+        if (op.op == OpClass::Store)
+            return storeLatency();
+        return hitLatency((*microSd_)[trace][idx].local);
+    }
 
     /**
      * Expected latency including the DRAM penalty for accesses whose
@@ -93,27 +110,33 @@ struct EpochMemoryModel
      * D-component replay, where the window model turns these per-access
      * latencies into overlapped (MLP-limited) stall time.
      */
-    double expectedLatencyFull(const MicroTraceOp &op) const;
+    double
+    expectedLatencyFull(const MicroTraceOp &op, uint32_t trace,
+                        uint32_t idx) const
+    {
+        double latency = expectedLatency(op, trace, idx);
+        if (op.op == OpClass::Load) {
+            // A DRAM access requires missing the private levels and the
+            // shared LLC (its interleaved reuse must exceed the LLC
+            // reach).
+            const EpochStacks::OpSd &sd = (*microSd_)[trace][idx];
+            if (sd.local >= static_cast<double>(l2Lines_) &&
+                sd.llc >= static_cast<double>(llcLines_)) {
+                latency += static_cast<double>(core_.memLatency);
+            }
+        }
+        return latency;
+    }
 
     /** Same access, but every level treated as an L1 hit; used to split
      *  the base component for CPI-stack reporting. */
-    double expectedLatencyL1Only(const MicroTraceOp &op) const;
-
-    /**
-     * Bind the precomputed per-op stack distances of the micro-traces so
-     * the indexed expectedLatency* overloads below can be used. Called
-     * once before the Eq.-1 window replays; a no-op on repeat calls.
-     */
-    void prepareReplay() const;
-
-    /** Indexed variants reading the precomputed stack distances of
-     *  micro-trace op (@p trace, @p idx) — bit-identical to the
-     *  unindexed forms, without re-deriving the stack distance per
-     *  replay. prepareReplay() must have been called. */
-    double expectedLatency(const MicroTraceOp &op, uint32_t trace,
-                           uint32_t idx) const;
-    double expectedLatencyFull(const MicroTraceOp &op, uint32_t trace,
-                               uint32_t idx) const;
+    double
+    expectedLatencyL1Only(const MicroTraceOp &op) const
+    {
+        if (op.op == OpClass::Store)
+            return storeLatency();
+        return static_cast<double>(core_.l1d.latency);
+    }
 
     /** Predicted I-cache component cycles for the whole epoch (additive
      *  Eq. 1 form; the replay-based path uses icachePerFetch instead). */
@@ -127,12 +150,31 @@ struct EpochMemoryModel
     }
 
   private:
-    /** The reuse distance driving shared-LLC decisions for one op. */
-    uint64_t llcRd(const MicroTraceOp &op) const;
+    double
+    storeLatency() const
+    {
+        return static_cast<double>(
+            core_.fus[static_cast<size_t>(OpClass::Store)].latency);
+    }
 
-    /** Hit-path latency of a load from its expected local stack
-     *  distance (callers handle stores before reaching here). */
-    double hitLatency(double sd_local) const;
+    /**
+     * Hit-path latency of a load from its expected local stack
+     * distance (callers handle stores before reaching here). Walks the
+     * hierarchy with per-access hit/miss decisions derived from the
+     * access's own reuse distances. DRAM latency is excluded: the
+     * long-latency load stall is Eq. 1's separate D-component.
+     */
+    double
+    hitLatency(double sd_local) const
+    {
+        double latency = static_cast<double>(core_.l1d.latency);
+        if (sd_local >= static_cast<double>(l1Lines_)) {
+            latency += static_cast<double>(core_.l2.latency);
+            if (sd_local >= static_cast<double>(l2Lines_))
+                latency += static_cast<double>(cfg_.llc.latency);
+        }
+        return latency;
+    }
 
     const EpochProfile &epoch_;
     const MulticoreConfig &cfg_;

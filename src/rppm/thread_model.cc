@@ -46,35 +46,39 @@ busAdjustedDram(const MulticoreConfig &cfg, const CoreConfig &core,
     return std::max(inflated, bound);
 }
 
-} // namespace
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const Eq1Options &opts)
+/** The calibrated entropy map of @p core's predictor, or null when the
+ *  branch component is switched off. Resolved once per thread: the
+ *  cache lookup takes a process-wide lock. */
+const EntropyMissRateModel *
+branchModelFor(const CoreConfig &core, const Eq1Options &opts)
 {
-    return predictEpoch(epoch, cfg, cfg.core(0), opts, nullptr);
+    return opts.branch ? &BranchModelCache::instance().get(core.branch)
+                       : nullptr;
 }
 
+/**
+ * Eq. 1 for @p epoch over its StatStack bundle @p stacks (null: build a
+ * private one). @p branch_model is branchModelFor(core, opts).
+ */
 EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts)
-{
-    return predictEpoch(epoch, cfg, core, opts, nullptr);
-}
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts,
-             std::shared_ptr<const EpochStacks> stacks)
+evalEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+          const CoreConfig &core, const Eq1Options &opts,
+          std::shared_ptr<const EpochStacks> stacks,
+          const EntropyMissRateModel *branch_model)
 {
     EpochPrediction pred;
     if (epoch.numOps == 0)
         return pred;
+    if (!stacks)
+        stacks = std::make_shared<const EpochStacks>(epoch,
+                                                     opts.llcUsesGlobalRd);
 
     const double n = static_cast<double>(epoch.numOps);
-    EpochMemoryModel mem =
-        stacks ? EpochMemoryModel(epoch, cfg, core, std::move(stacks))
-               : EpochMemoryModel(epoch, cfg, core, opts.llcUsesGlobalRd);
+    // Entropy-predicted misprediction probability (epochBranchMissRate
+    // over the bundle's cached entropy).
+    const double miss_rate_pred = opts.branch && epoch.numBranches > 0 ?
+        branch_model->missRate(stacks->branchEntropy()) : 0.0;
+    const EpochMemoryModel mem(epoch, cfg, core, std::move(stacks));
 
     if (!opts.ilpReplay) {
         // Ablation: no ILP modeling. Dispatch at full front-end width and
@@ -96,10 +100,11 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
             static_cast<double>(core.memLatency) / mlp;
         pred.stack[CpiComponent::ICache] = mem.icacheCycles();
         if (opts.branch) {
-            const BranchComponent branch = branchComponent(
-                epoch, core,
-                static_cast<double>(core.frontendDepth) + 10.0);
-            pred.stack[CpiComponent::Branch] = branch.cycles;
+            // Eq. 1's mbpred x (cres + cfr), with a fixed redirect cost.
+            const double mispredicts = miss_rate_pred *
+                static_cast<double>(epoch.numBranches);
+            pred.stack[CpiComponent::Branch] = mispredicts *
+                (static_cast<double>(core.frontendDepth) + 10.0);
         }
         pred.cycles = pred.stack.total();
         return pred;
@@ -122,15 +127,12 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
         return opts.mlpOverlap ? mem.expectedLatencyFull(op, trace, idx)
                                : mem.expectedLatency(op, trace, idx);
     };
-    const double miss_rate_pred =
-        opts.branch ? epochBranchMissRate(epoch, core) : 0.0;
 
     if (!opts.decompose) {
         // Fast path: only the final replay (full memory + I-cache
         // stalls + branch flushes). Identical total to the decomposed
         // path up to clamping; everything reported as Base.
-        const IlpResult ilp = epochIlp(epoch, core,
-                                       IndexedLatencyFn(full_latency_fn),
+        const IlpResult ilp = epochIlp(epoch, core, full_latency_fn,
                                        mem.icachePerFetch(),
                                        miss_rate_pred);
         pred.deff = ilp.ipc;
@@ -148,31 +150,25 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
     }
 
     const IlpResult ilp_l1 = epochIlp(
-        epoch, core,
-        IndexedLatencyFn([&mem](const MicroTraceOp &op, uint32_t,
-                                uint32_t) {
+        epoch, core, [&mem](const MicroTraceOp &op, uint32_t, uint32_t) {
             return mem.expectedLatencyL1Only(op);
-        }));
+        });
     const IlpResult ilp_hit = epochIlp(
         epoch, core,
-        IndexedLatencyFn([&mem](const MicroTraceOp &op, uint32_t trace,
-                                uint32_t idx) {
+        [&mem](const MicroTraceOp &op, uint32_t trace, uint32_t idx) {
             return mem.expectedLatency(op, trace, idx);
-        }));
-    const IlpResult ilp_full =
-        epochIlp(epoch, core, IndexedLatencyFn(full_latency_fn));
+        });
+    const IlpResult ilp_full = epochIlp(epoch, core, full_latency_fn);
     // Fourth replay: add the expected I-cache front-end stalls on top of
     // the full memory behaviour, so instruction misses only cost what
     // the back end does not hide.
     const IlpResult ilp_fetch =
-        epochIlp(epoch, core, IndexedLatencyFn(full_latency_fn),
-                 mem.icachePerFetch());
+        epochIlp(epoch, core, full_latency_fn, mem.icachePerFetch());
     // Fifth replay: emulate front-end flushes at the entropy-predicted
     // misprediction rate, capturing redirect latency plus window ramp-up
     // (Eq. 1's mbpred x (cres + cfr) term, evaluated mechanistically).
     const IlpResult ilp_flush = epochIlp(
-        epoch, core, IndexedLatencyFn(full_latency_fn),
-        mem.icachePerFetch(), miss_rate_pred);
+        epoch, core, full_latency_fn, mem.icachePerFetch(), miss_rate_pred);
 
     const double base_cycles = n / ilp_l1.ipc;
     const double hit_cycles = n / ilp_hit.ipc;
@@ -226,6 +222,23 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
     return pred;
 }
 
+} // namespace
+
+EpochPrediction
+predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+             const Eq1Options &opts)
+{
+    return predictEpoch(epoch, cfg, cfg.core(0), opts);
+}
+
+EpochPrediction
+predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+             const CoreConfig &core, const Eq1Options &opts)
+{
+    return evalEpoch(epoch, cfg, core, opts, nullptr,
+                     branchModelFor(core, opts));
+}
+
 ThreadPrediction
 predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
               const Eq1Options &opts)
@@ -245,12 +258,13 @@ predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
               const CoreConfig &core, const Eq1Options &opts,
               const EpochStacksFn &stacks)
 {
+    const EntropyMissRateModel *branch_model = branchModelFor(core, opts);
     ThreadPrediction result;
     result.epochs.reserve(thread.epochs.size());
     for (size_t e = 0; e < thread.epochs.size(); ++e) {
         EpochPrediction pred =
-            predictEpoch(thread.epochs[e], cfg, core, opts,
-                         stacks ? stacks(e) : nullptr);
+            evalEpoch(thread.epochs[e], cfg, core, opts,
+                      stacks ? stacks(e) : nullptr, branch_model);
         result.activeCycles += pred.cycles;
         result.stack.add(pred.stack);
         result.instructions += thread.epochs[e].numOps;

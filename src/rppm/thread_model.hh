@@ -77,18 +77,6 @@ EpochPrediction predictEpoch(const EpochProfile &epoch,
                              const CoreConfig &core,
                              const Eq1Options &opts = {});
 
-/**
- * Same evaluation over a pre-built (shared) StatStack bundle for the
- * epoch — the memoized grid engine's entry point. @p stacks must match
- * @p epoch and opts.llcUsesGlobalRd; nullptr builds a private bundle
- * (equivalent to the overload above). Bit-identical either way.
- */
-EpochPrediction predictEpoch(const EpochProfile &epoch,
-                             const MulticoreConfig &cfg,
-                             const CoreConfig &core,
-                             const Eq1Options &opts,
-                             std::shared_ptr<const EpochStacks> stacks);
-
 /** Convenience: evaluate on core 0 (uniform machines). */
 EpochPrediction predictEpoch(const EpochProfile &epoch,
                              const MulticoreConfig &cfg,
@@ -116,7 +104,9 @@ ThreadPrediction predictThread(const ThreadProfile &thread,
                                const Eq1Options &opts = {});
 
 /** Same, drawing per-epoch StatStack bundles from @p stacks (the
- *  memoized engine's cache); an empty function builds privately. */
+ *  memoized engine's cache; each bundle must match its epoch and
+ *  opts.llcUsesGlobalRd); an empty function or a null bundle builds
+ *  privately. Bit-identical either way. */
 ThreadPrediction predictThread(const ThreadProfile &thread,
                                const MulticoreConfig &cfg,
                                const CoreConfig &core,

@@ -4,15 +4,28 @@
 
 namespace rppm {
 
+namespace {
+
+/** Stands in for the instruction histogram of epochs without one. */
+const LogHistogram &
+emptyHistogram()
+{
+    static const LogHistogram empty;
+    return empty;
+}
+
+} // namespace
+
 EpochStacks::EpochStacks(const EpochProfile &epoch, bool llc_uses_global_rd)
     : epoch_(epoch), llcGlobal_(llc_uses_global_rd),
       hasInstr_(epoch.numOps > 0 && epoch.instrRd.total() > 0),
+      branchEntropy_(epoch.branches.averageLinearEntropy()),
       local_(epoch.localRd),
       global_(llc_uses_global_rd ? epoch.globalRd : epoch.localRd),
       loadLocal_(epoch.loadLocalRd),
       loadGlobal_(llc_uses_global_rd ? epoch.loadGlobalRd
                                      : epoch.loadLocalRd),
-      instr_(hasInstr_ ? epoch.instrRd : LogHistogram())
+      instr_(hasInstr_ ? epoch.instrRd : emptyHistogram())
 {
 }
 
@@ -33,16 +46,16 @@ EpochStacks::stack(Which w) const
 double
 EpochStacks::missRate(Which w, uint64_t cache_lines) const
 {
-    const std::pair<uint8_t, uint64_t> key(static_cast<uint8_t>(w),
-                                           cache_lines);
     MutexLock lock(curveMutex_);
-    const auto it = curve_.find(key);
-    if (it != curve_.end()) {
-        curveHits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+    auto &curve = curve_[static_cast<size_t>(w)];
+    for (const auto &[lines, rate] : curve) {
+        if (lines == cache_lines) {
+            curveHits_.fetch_add(1, std::memory_order_relaxed);
+            return rate;
+        }
     }
     const double rate = stack(w).missRate(cache_lines);
-    curve_.emplace(key, rate);
+    curve.emplace_back(cache_lines, rate);
     curvePoints_.fetch_add(1, std::memory_order_relaxed);
     return rate;
 }

@@ -14,7 +14,11 @@
  *
  *  - the four data stacks (per-thread / interleaved, all-accesses /
  *    loads-only) and the instruction stack are built exactly once per
- *    (epoch, llcUsesGlobalRd flavour);
+ *    (epoch, llcUsesGlobalRd flavour), straight from the epoch's
+ *    histograms: each keeps only its fixed-size survival tables, no
+ *    copy of the histogram;
+ *  - the epoch's average linear branch entropy, the input of the
+ *    branch model, is computed once instead of per (epoch, config);
  *  - per-op expected stack distances of the micro-trace loads are
  *    precomputed lazily on first replay, so the five Eq.-1 window
  *    replays read two doubles per load instead of re-walking the
@@ -34,9 +38,9 @@
 #ifndef RPPM_STATSTACK_EPOCH_STACKS_HH
 #define RPPM_STATSTACK_EPOCH_STACKS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -75,6 +79,9 @@ class EpochStacks
      *  condition under which the memory model prices I-cache stalls). */
     bool hasInstr() const { return hasInstr_; }
 
+    /** The epoch's BranchEntropyProfile::averageLinearEntropy(). */
+    double branchEntropy() const { return branchEntropy_; }
+
     const StatStack &stack(Which w) const;
 
     /**
@@ -110,14 +117,19 @@ class EpochStacks
     const EpochProfile &epoch_;
     bool llcGlobal_;
     bool hasInstr_;
+    double branchEntropy_;
     StatStack local_, global_, loadLocal_, loadGlobal_, instr_;
 
     mutable std::once_flag microOnce_;
     mutable std::vector<std::vector<OpSd>> microSd_;
 
+    // Per stack, the (line count, miss rate) points evaluated so far. A
+    // grid touches a handful of cache sizes per stack, so a linear scan
+    // beats a tree.
+    static constexpr size_t kStacks = 5;
     mutable Mutex curveMutex_;
-    mutable std::map<std::pair<uint8_t, uint64_t>, double> curve_
-        RPPM_GUARDED_BY(curveMutex_);
+    mutable std::array<std::vector<std::pair<uint64_t, double>>, kStacks>
+        curve_ RPPM_GUARDED_BY(curveMutex_);
     mutable std::atomic<uint64_t> curvePoints_{0};
     mutable std::atomic<uint64_t> curveHits_{0};
 };

@@ -1,16 +1,15 @@
 #include "statstack/statstack.hh"
 
 #include <algorithm>
-#include <utility>
 #include <cmath>
 
 namespace rppm {
 
-StatStack::StatStack(LogHistogram reuse_distances)
-    : hist_(std::move(reuse_distances))
+StatStack::StatStack(const LogHistogram &reuse_distances)
+    : total_(reuse_distances.total()),
+      finite_(reuse_distances.totalFinite()),
+      infinite_(reuse_distances.totalInfinite())
 {
-    const size_t buckets = LogHistogram::numBuckets();
-
     // Suffix counts first: suffixCounts_[i] holds the infinite samples
     // plus every finite sample in buckets > i. This is the "samples
     // whose reuse extends past here" count that survival() would
@@ -18,16 +17,10 @@ StatStack::StatStack(LogHistogram reuse_distances)
     // O(#buckets^2) into O(#buckets). Integer sums are exact, so the
     // survival values derived from them are bit-identical to
     // LogHistogram::survival().
-    std::vector<uint64_t> counts(buckets, 0);
-    hist_.forEach([&counts](uint64_t value, uint64_t count) {
-        if (value != LogHistogram::kInfinity)
-            counts[LogHistogram::bucketIndex(value)] = count;
-    });
-    suffixCounts_.assign(buckets, 0);
-    uint64_t above = hist_.totalInfinite();
-    for (size_t i = buckets; i-- > 0;) {
+    uint64_t above = infinite_;
+    for (size_t i = kBuckets; i-- > 0;) {
         suffixCounts_[i] = above;
-        above += counts[i];
+        above += reuse_distances.bucketCount(i);
     }
 
     // Precompute expected stack distance at each bucket boundary:
@@ -35,9 +28,8 @@ StatStack::StatStack(LogHistogram reuse_distances)
     // Within a bucket the survival function is (piecewise) constant in
     // our representation, so the prefix sum advances linearly and can be
     // interpolated exactly on query.
-    survivalPrefix_.resize(buckets);
     double prefix = 0.0;
-    for (size_t i = 0; i < buckets; ++i) {
+    for (size_t i = 0; i < kBuckets; ++i) {
         const uint64_t lo = LogHistogram::bucketLo(i);
         const uint64_t hi = LogHistogram::bucketHi(i);
         // Representative survival within this bucket, evaluated at the
@@ -49,29 +41,25 @@ StatStack::StatStack(LogHistogram reuse_distances)
 }
 
 double
-StatStack::survivalAtBucketMid(size_t idx) const
+StatStack::survival(size_t idx, uint64_t value) const
 {
-    // Mirrors LogHistogram::survival(bucketMid(idx)) branch for branch,
-    // with the bucket scan replaced by the precomputed suffix counts.
-    const uint64_t tot = hist_.total();
-    if (tot == 0)
+    // Mirrors LogHistogram::survival(value) branch for branch, with the
+    // bucket scan replaced by the precomputed suffix counts.
+    if (total_ == 0)
         return 0.0;
-    if (hist_.totalFinite() == 0)
-        return static_cast<double>(hist_.totalInfinite()) /
-            static_cast<double>(tot);
+    if (finite_ == 0)
+        return static_cast<double>(infinite_) / static_cast<double>(total_);
 
     const uint64_t above = suffixCounts_[idx];
-    const uint64_t count = idx == 0 ?
-        tot - suffixCounts_[0] :
-        suffixCounts_[idx - 1] - suffixCounts_[idx];
-    const uint64_t value = LogHistogram::bucketMid(idx);
     const uint64_t lo = LogHistogram::bucketLo(idx);
     const uint64_t hi = LogHistogram::bucketHi(idx);
+    // Within the containing bucket, interpolate linearly: assume samples
+    // are spread uniformly across the bucket's value range.
     const double width = static_cast<double>(hi - lo) + 1.0;
     const double frac_above = static_cast<double>(hi - value) / width;
-    const double partial = static_cast<double>(count) * frac_above;
+    const double partial = static_cast<double>(countAt(idx)) * frac_above;
     return (static_cast<double>(above) + partial) /
-        static_cast<double>(tot);
+        static_cast<double>(total_);
 }
 
 double
@@ -79,7 +67,7 @@ StatStack::stackDistance(uint64_t rd) const
 {
     if (rd == LogHistogram::kInfinity)
         return static_cast<double>(LogHistogram::kInfinity);
-    if (hist_.total() == 0)
+    if (total_ == 0)
         return static_cast<double>(rd);
     const size_t idx = LogHistogram::bucketIndex(rd);
     const uint64_t lo = LogHistogram::bucketLo(idx);
@@ -94,8 +82,7 @@ StatStack::criticalReuseDistance(uint64_t cache_lines) const
     // Binary search over bucket boundaries for the first reuse distance
     // whose expected stack distance reaches cache_lines.
     const double target = static_cast<double>(cache_lines);
-    const size_t buckets = LogHistogram::numBuckets();
-    size_t lo = 0, hi = buckets;
+    size_t lo = 0, hi = kBuckets;
     while (lo < hi) {
         const size_t mid = (lo + hi) / 2;
         if (survivalPrefix_[mid] < target)
@@ -103,7 +90,7 @@ StatStack::criticalReuseDistance(uint64_t cache_lines) const
         else
             hi = mid;
     }
-    if (lo >= buckets)
+    if (lo >= kBuckets)
         return LogHistogram::kInfinity;
     // Interpolate within the bucket.
     const uint64_t blo = LogHistogram::bucketLo(lo);
@@ -120,8 +107,7 @@ StatStack::criticalReuseDistance(uint64_t cache_lines) const
 double
 StatStack::missRate(uint64_t cache_lines) const
 {
-    const uint64_t total = hist_.total();
-    if (total == 0)
+    if (total_ == 0)
         return 0.0;
     // An access misses when its expected stack distance exceeds the
     // cache's line count; cold accesses (infinite reuse distance) always
@@ -129,10 +115,10 @@ StatStack::missRate(uint64_t cache_lines) const
     // directly yields the miss fraction.
     const uint64_t critical = criticalReuseDistance(cache_lines);
     if (critical == LogHistogram::kInfinity) {
-        return static_cast<double>(hist_.totalInfinite()) /
-            static_cast<double>(total);
+        return static_cast<double>(infinite_) /
+            static_cast<double>(total_);
     }
-    return hist_.survival(critical);
+    return survival(LogHistogram::bucketIndex(critical), critical);
 }
 
 } // namespace rppm

@@ -29,6 +29,7 @@
 #ifndef RPPM_STATSTACK_STATSTACK_HH
 #define RPPM_STATSTACK_STATSTACK_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/histogram.hh"
@@ -38,17 +39,18 @@ namespace rppm {
 /**
  * StatStack model built from one reuse-distance distribution.
  *
- * Construction precomputes the survival prefix sums over the histogram's
- * log buckets so stackDistance() and missRate() are O(#buckets).
+ * Construction precomputes the suffix counts and survival prefix sums
+ * over the histogram's log buckets into fixed arrays, so building a
+ * model allocates nothing, stackDistance() is O(1) and missRate() is
+ * O(log #buckets).
  */
 class StatStack
 {
   public:
-    /**
-     * Build from a reuse-distance histogram (may be empty). The
-     * histogram is copied so the model owns its inputs.
-     */
-    explicit StatStack(LogHistogram reuse_distances);
+    /** Build from a reuse-distance histogram (may be empty). Only the
+     *  derived tables are kept; the histogram need not outlive the
+     *  model. */
+    explicit StatStack(const LogHistogram &reuse_distances);
 
     /** Expected stack distance for an access with reuse distance @p rd. */
     double stackDistance(uint64_t rd) const;
@@ -66,27 +68,48 @@ class StatStack
     uint64_t criticalReuseDistance(uint64_t cache_lines) const;
 
     /** True when no finite samples were available. */
-    bool empty() const { return hist_.totalFinite() == 0; }
+    bool empty() const { return finite_ == 0; }
 
   private:
-    /**
-     * survival() restricted to bucket midpoints, computed from the
-     * precomputed suffix counts in O(1) instead of re-walking the
-     * histogram — this is what makes construction O(#buckets) rather
-     * than O(#buckets^2). Produces bit-identical values to
-     * LogHistogram::survival(bucketMid(idx)): the suffix sums are exact
-     * integer arithmetic in the same association order.
-     */
-    double survivalAtBucketMid(size_t idx) const;
+    static constexpr size_t kBuckets = LogHistogram::numBuckets();
 
-    LogHistogram hist_;
+    /** Samples in bucket @p idx, recovered from the suffix counts. */
+    uint64_t
+    countAt(size_t idx) const
+    {
+        return idx == 0 ? total_ - suffixCounts_[0]
+                        : suffixCounts_[idx - 1] - suffixCounts_[idx];
+    }
+
+    /**
+     * LogHistogram::survival(@p value) for a finite @p value in bucket
+     * @p idx, computed from the suffix counts in O(1) instead of
+     * re-walking the histogram. Bit-identical: the suffix sums are
+     * exact integer arithmetic and the interpolation is the same
+     * expression.
+     */
+    double survival(size_t idx, uint64_t value) const;
+
+    /**
+     * survival() at the midpoint of bucket @p idx — this is what makes
+     * construction O(#buckets) rather than O(#buckets^2).
+     */
+    double
+    survivalAtBucketMid(size_t idx) const
+    {
+        return survival(idx, LogHistogram::bucketMid(idx));
+    }
+
+    uint64_t total_;
+    uint64_t finite_;
+    uint64_t infinite_;
     // suffixCounts_[i]: infinite samples plus all finite samples in
     // buckets strictly after i.
-    std::vector<uint64_t> suffixCounts_;
+    std::array<uint64_t, kBuckets> suffixCounts_;
     // survivalPrefix_[i]: sum over j in [0, bucketHi(i)] of survival(j),
     // i.e. the expected stack distance of a reuse distance at the end of
     // bucket i. Interpolated within buckets on query.
-    std::vector<double> survivalPrefix_;
+    std::array<double, kBuckets> survivalPrefix_;
 };
 
 } // namespace rppm

@@ -79,9 +79,8 @@ TEST(MemoryModel, ColdAccessesAlwaysMiss)
 
 TEST(MemoryModel, ExpectedLatencyFollowsReuseDistance)
 {
-    const EpochProfile epoch = uniformRdEpoch(2000);
+    EpochProfile epoch = uniformRdEpoch(2000);
     const MulticoreConfig cfg = baseConfig();
-    EpochMemoryModel mem(epoch, cfg);
 
     MicroTraceOp hot;
     hot.op = OpClass::Load;
@@ -95,36 +94,44 @@ TEST(MemoryModel, ExpectedLatencyFollowsReuseDistance)
     cold.op = OpClass::Load;
     cold.localRd = LogHistogram::kInfinity;
     cold.globalRd = LogHistogram::kInfinity;
+    epoch.microTraces.resize(1);
+    epoch.microTraces[0].ops = {hot, l2_load, cold};
 
-    EXPECT_DOUBLE_EQ(mem.expectedLatency(hot),
+    EpochMemoryModel mem(epoch, cfg);
+    mem.prepareReplay();
+    EXPECT_DOUBLE_EQ(mem.expectedLatency(hot, 0, 0),
                      static_cast<double>(cfg.core().l1d.latency));
-    EXPECT_DOUBLE_EQ(mem.expectedLatency(l2_load),
+    EXPECT_DOUBLE_EQ(mem.expectedLatency(l2_load, 0, 1),
                      static_cast<double>(cfg.core().l1d.latency + cfg.core().l2.latency));
     // Hit-path latency is capped at the LLC...
     EXPECT_DOUBLE_EQ(
-        mem.expectedLatency(cold),
+        mem.expectedLatency(cold, 0, 2),
         static_cast<double>(cfg.core().l1d.latency + cfg.core().l2.latency +
                             cfg.llc.latency));
     // ...and the full latency adds DRAM.
     EXPECT_DOUBLE_EQ(
-        mem.expectedLatencyFull(cold),
+        mem.expectedLatencyFull(cold, 0, 2),
         static_cast<double>(cfg.core().l1d.latency + cfg.core().l2.latency +
                             cfg.llc.latency + cfg.core().memLatency));
 }
 
 TEST(MemoryModel, StoresUseStoreLatency)
 {
-    const EpochProfile epoch = uniformRdEpoch(2000);
+    EpochProfile epoch = uniformRdEpoch(2000);
     const MulticoreConfig cfg = baseConfig();
-    EpochMemoryModel mem(epoch, cfg);
     MicroTraceOp store;
     store.op = OpClass::Store;
     store.localRd = LogHistogram::kInfinity;
     store.globalRd = LogHistogram::kInfinity;
+    epoch.microTraces.resize(1);
+    epoch.microTraces[0].ops = {store};
+    EpochMemoryModel mem(epoch, cfg);
+    mem.prepareReplay();
     const double lat = static_cast<double>(
         cfg.core().fus[static_cast<size_t>(OpClass::Store)].latency);
-    EXPECT_DOUBLE_EQ(mem.expectedLatency(store), lat);
-    EXPECT_DOUBLE_EQ(mem.expectedLatencyFull(store), lat);
+    EXPECT_DOUBLE_EQ(mem.expectedLatency(store, 0, 0), lat);
+    EXPECT_DOUBLE_EQ(mem.expectedLatencyFull(store, 0, 0), lat);
+    EXPECT_DOUBLE_EQ(mem.expectedLatencyL1Only(store), lat);
 }
 
 TEST(MemoryModel, SharedDataHitsLlcViaGlobalRd)

@@ -50,9 +50,11 @@ TEST(FlushReplay, ZeroMissRateMatchesPlainReplay)
 {
     const MicroTrace mt = branchyTrace(2000, 5);
     const CoreConfig core = baseConfig().core();
-    const auto lat = [](const MicroTraceOp &) { return 3.0; };
-    const IlpResult plain = replayMicroTrace(mt, core, lat);
-    const IlpResult flush = replayMicroTrace(mt, core, lat, 0.0, 0.0);
+    const auto lat = [](const MicroTraceOp &, uint32_t, uint32_t) {
+        return 3.0;
+    };
+    const IlpResult plain = replayMicroTrace(mt, 0, core, lat);
+    const IlpResult flush = replayMicroTrace(mt, 0, core, lat, 0.0, 0.0);
     EXPECT_DOUBLE_EQ(plain.ipc, flush.ipc);
 }
 
@@ -60,11 +62,15 @@ TEST(FlushReplay, MissRateLowersIpc)
 {
     const MicroTrace mt = branchyTrace(2000, 5);
     const CoreConfig core = baseConfig().core();
-    const auto lat = [](const MicroTraceOp &) { return 3.0; };
+    const auto lat = [](const MicroTraceOp &, uint32_t, uint32_t) {
+        return 3.0;
+    };
     const double ipc_perfect =
-        replayMicroTrace(mt, core, lat, 0.0, 0.0).ipc;
-    const double ipc_half = replayMicroTrace(mt, core, lat, 0.0, 0.5).ipc;
-    const double ipc_all = replayMicroTrace(mt, core, lat, 0.0, 1.0).ipc;
+        replayMicroTrace(mt, 0, core, lat, 0.0, 0.0).ipc;
+    const double ipc_half =
+        replayMicroTrace(mt, 0, core, lat, 0.0, 0.5).ipc;
+    const double ipc_all =
+        replayMicroTrace(mt, 0, core, lat, 0.0, 1.0).ipc;
     EXPECT_GT(ipc_perfect, ipc_half);
     EXPECT_GT(ipc_half, ipc_all);
 }
@@ -73,10 +79,13 @@ TEST(FlushReplay, MonotoneInMissRate)
 {
     const MicroTrace mt = branchyTrace(3000, 4);
     const CoreConfig core = baseConfig().core();
-    const auto lat = [](const MicroTraceOp &) { return 3.0; };
+    const auto lat = [](const MicroTraceOp &, uint32_t, uint32_t) {
+        return 3.0;
+    };
     double prev = 1e9;
     for (double rate : {0.0, 0.1, 0.2, 0.4, 0.8}) {
-        const double ipc = replayMicroTrace(mt, core, lat, 0.0, rate).ipc;
+        const double ipc =
+            replayMicroTrace(mt, 0, core, lat, 0.0, rate).ipc;
         EXPECT_LE(ipc, prev + 1e-12) << rate;
         prev = ipc;
     }
@@ -86,9 +95,11 @@ TEST(FlushReplay, FetchStallLowersIpc)
 {
     const MicroTrace mt = branchyTrace(2000, 100);
     const CoreConfig core = baseConfig().core();
-    const auto lat = [](const MicroTraceOp &) { return 3.0; };
-    const double fast = replayMicroTrace(mt, core, lat, 0.0).ipc;
-    const double slow = replayMicroTrace(mt, core, lat, 1.0).ipc;
+    const auto lat = [](const MicroTraceOp &, uint32_t, uint32_t) {
+        return 3.0;
+    };
+    const double fast = replayMicroTrace(mt, 0, core, lat, 0.0).ipc;
+    const double slow = replayMicroTrace(mt, 0, core, lat, 1.0).ipc;
     // One extra front-end cycle per op caps IPC at ~1/(1/width + 1).
     EXPECT_GT(fast, slow * 1.5);
     EXPECT_LT(slow, 1.0);
@@ -98,8 +109,10 @@ TEST(FlushReplay, BranchPenaltyBoundedByResolutionPlusRefill)
 {
     const MicroTrace mt = branchyTrace(2000, 5);
     const CoreConfig core = baseConfig().core();
-    const auto lat = [](const MicroTraceOp &) { return 3.0; };
-    const IlpResult r = replayMicroTrace(mt, core, lat);
+    const auto lat = [](const MicroTraceOp &, uint32_t, uint32_t) {
+        return 3.0;
+    };
+    const IlpResult r = replayMicroTrace(mt, 0, core, lat);
     EXPECT_GE(r.branchPenalty, 0.0);
     EXPECT_LE(r.branchPenalty,
               r.branchResolution + core.frontendDepth + 1e-9);

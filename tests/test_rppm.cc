@@ -24,10 +24,11 @@
 namespace rppm {
 namespace {
 
-LoadLatencyFn
+/** A latency functor charging @p lat cycles to every memory op. */
+auto
 fixedLatency(double lat)
 {
-    return [lat](const MicroTraceOp &) { return lat; };
+    return [lat](const MicroTraceOp &, uint32_t, uint32_t) { return lat; };
 }
 
 MicroTrace
@@ -49,7 +50,8 @@ TEST(IlpModel, IndependentOpsReachWidth)
 {
     const MicroTrace mt = makeMicroTrace(1000, OpClass::IntAlu, 0);
     const IlpResult r =
-        replayMicroTrace(mt, baseConfig().core(), fixedLatency(3.0));
+        replayMicroTrace(mt, 0, baseConfig().core(),
+                         fixedLatency(3.0));
     EXPECT_NEAR(r.ipc, 4.0, 0.3);
 }
 
@@ -57,7 +59,8 @@ TEST(IlpModel, SerialChainIpcOne)
 {
     const MicroTrace mt = makeMicroTrace(1000, OpClass::IntAlu, 1);
     const IlpResult r =
-        replayMicroTrace(mt, baseConfig().core(), fixedLatency(3.0));
+        replayMicroTrace(mt, 0, baseConfig().core(),
+                         fixedLatency(3.0));
     EXPECT_NEAR(r.ipc, 1.0, 0.1);
 }
 
@@ -76,9 +79,9 @@ TEST(IlpModel, WiderCoreHigherIpc)
     CoreConfig wide = baseConfig().core();
     wide.dispatchWidth = 6;
     const double ipc_narrow =
-        replayMicroTrace(mt, narrow, fixedLatency(3.0)).ipc;
+        replayMicroTrace(mt, 0, narrow, fixedLatency(3.0)).ipc;
     const double ipc_wide =
-        replayMicroTrace(mt, wide, fixedLatency(3.0)).ipc;
+        replayMicroTrace(mt, 0, wide, fixedLatency(3.0)).ipc;
     EXPECT_GT(ipc_wide, ipc_narrow);
 }
 
@@ -92,8 +95,10 @@ TEST(IlpModel, MemoryLatencyLowersIpc)
         mt.ops.push_back(op);
     }
     const CoreConfig core = baseConfig().core();
-    const double fast = replayMicroTrace(mt, core, fixedLatency(3.0)).ipc;
-    const double slow = replayMicroTrace(mt, core, fixedLatency(40.0)).ipc;
+    const double fast =
+        replayMicroTrace(mt, 0, core, fixedLatency(3.0)).ipc;
+    const double slow =
+        replayMicroTrace(mt, 0, core, fixedLatency(40.0)).ipc;
     EXPECT_GT(fast, slow * 2.0);
 }
 
@@ -103,7 +108,8 @@ TEST(IlpModel, IpcNeverExceedsWidth)
     for (uint32_t width : {2u, 4u, 6u}) {
         CoreConfig core = baseConfig().core();
         core.dispatchWidth = width;
-        const double ipc = replayMicroTrace(mt, core, fixedLatency(3.0)).ipc;
+        const double ipc =
+            replayMicroTrace(mt, 0, core, fixedLatency(3.0)).ipc;
         EXPECT_LE(ipc, static_cast<double>(width) + 1e-9);
     }
 }
@@ -118,7 +124,8 @@ TEST(IlpModel, BranchResolutionPositiveWithBranches)
         mt.ops.push_back(op);
     }
     const IlpResult r =
-        replayMicroTrace(mt, baseConfig().core(), fixedLatency(3.0));
+        replayMicroTrace(mt, 0, baseConfig().core(),
+                         fixedLatency(3.0));
     EXPECT_GT(r.branchResolution, 0.0);
 }
 
@@ -126,7 +133,8 @@ TEST(IlpModel, EmptyTraceSafe)
 {
     const MicroTrace mt;
     const IlpResult r =
-        replayMicroTrace(mt, baseConfig().core(), fixedLatency(3.0));
+        replayMicroTrace(mt, 0, baseConfig().core(),
+                         fixedLatency(3.0));
     EXPECT_GT(r.ipc, 0.0);
 }
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,6 +117,67 @@ TEST(StatStack, ColdOnlyHistogram)
     hist.add(LogHistogram::kInfinity, 100);
     StatStack ss(hist);
     EXPECT_DOUBLE_EQ(ss.missRate(1024), 1.0);
+}
+
+/**
+ * missRate() reads survival from StatStack's own suffix counts. It must
+ * equal LogHistogram::survival at the critical reuse distance, bit for
+ * bit, with cold misses alone when no finite distance reaches the
+ * cache. Checked at every bucket boundary as the cache size.
+ */
+void
+expectMissRateIsSurvival(const LogHistogram &hist, const std::string &what)
+{
+    const StatStack ss(hist);
+    std::vector<uint64_t> sizes = {0};
+    for (size_t i = 0; i < LogHistogram::numBuckets(); ++i) {
+        sizes.push_back(LogHistogram::bucketLo(i));
+        sizes.push_back(LogHistogram::bucketHi(i));
+    }
+    for (uint64_t lines : sizes) {
+        const uint64_t critical = ss.criticalReuseDistance(lines);
+        double expected = 0.0;
+        if (hist.total() == 0)
+            expected = 0.0;
+        else if (critical == LogHistogram::kInfinity)
+            expected = static_cast<double>(hist.totalInfinite()) /
+                static_cast<double>(hist.total());
+        else
+            expected = hist.survival(critical);
+        EXPECT_EQ(ss.missRate(lines), expected) << what << " lines "
+                                                << lines;
+    }
+}
+
+TEST(StatStack, MissRateIsSurvivalAtCriticalDistance)
+{
+    expectMissRateIsSurvival(LogHistogram(), "empty");
+
+    LogHistogram cold;
+    cold.add(LogHistogram::kInfinity, 37);
+    expectMissRateIsSurvival(cold, "infinite-only");
+
+    LogHistogram first;
+    first.add(0, 1000);
+    expectMissRateIsSurvival(first, "bucket 0");
+
+    LogHistogram top;
+    top.add(LogHistogram::bucketLo(LogHistogram::numBuckets() - 1), 5);
+    top.add(LogHistogram::kInfinity - 1, 3);
+    expectMissRateIsSurvival(top, "top bucket");
+
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        LogHistogram random;
+        for (int i = 0; i < 400; ++i) {
+            // Log-uniform values over the whole finite range.
+            const uint64_t value = rng.next() >> rng.nextBounded(64);
+            random.add(std::min(value, LogHistogram::kInfinity - 1),
+                       1 + rng.nextBounded(1000));
+        }
+        random.add(LogHistogram::kInfinity, rng.nextBounded(5000));
+        expectMissRateIsSurvival(random, "random " + std::to_string(seed));
+    }
 }
 
 TEST(StatStack, MissRateMonotoneInCacheSize)
