@@ -77,6 +77,11 @@
  * phase dwarfed by an earlier one reports 0), but they make per-phase
  * memory growth visible in the nightly trajectory — in particular that
  * profile_stream's footprint stays small while traces scale.
+ *
+ * The crc phase checksums each kernel's serialized RPPMTRC image with
+ * crc32c() — the checksum every trace save, load and streamed chunk
+ * pays — and reports its throughput as crc_mb_per_s (1 MB = 10^6
+ * bytes), with a geomean in the summary. It is not gated.
  */
 
 #include <sys/resource.h>
@@ -98,6 +103,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.hh"
 #include "pipeline.hh"
 #include "profile/profiler.hh"
 #include "rppm/predictor.hh"
@@ -141,6 +147,7 @@ struct KernelResult
     double gridSpeedup = 0.0;
     double serveSpeedup = 0.0;
     double streamOverhead = 0.0;
+    double crcMbPerS = 0.0;
 
     double
     nsPerOp(const std::string &metric) const
@@ -281,6 +288,29 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
 
     ColumnarTrace cols;
     timed("columnar", [&] { cols = ColumnarTrace::fromWorkload(trace); });
+
+    // CRC32C throughput over the serialized trace. One pass over a
+    // smoke-scale image is well under a millisecond, so each repeat
+    // checksums it enough times to cover about 128 MB; every pass is
+    // compared against the portable kernel's answer.
+    {
+        std::ostringstream image;
+        saveTrace(cols, image);
+        const std::string bytes = image.str();
+        const uint32_t expect =
+            crc32cExtendPortable(kCrc32cInit, bytes.data(), bytes.size());
+        const size_t passes =
+            std::max<size_t>(1, (size_t{128} << 20) / bytes.size());
+        bool mismatch = false;
+        const double ms = medianOf(repeat, [&] {
+            for (size_t p = 0; p < passes; ++p)
+                mismatch |= crc32c(bytes.data(), bytes.size()) != expect;
+        });
+        if (mismatch)
+            std::fprintf(stderr, "warning: crc32c kernel mismatch\n");
+        result.crcMbPerS = static_cast<double>(passes * bytes.size()) /
+            1e6 / (ms / 1e3);
+    }
 
     WorkloadProfile profile;
     timed("profile_fused", [&] { profile = profileWorkload(cols); });
@@ -503,7 +533,8 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
         for (const auto &[metric, kb] : r.rssDeltaKb)
             os << "      \"" << metric << "_rss_delta_kb\": " << kb
                << ",\n";
-        os << "      \"stream_overhead\": " << r.streamOverhead << ",\n"
+        os << "      \"crc_mb_per_s\": " << r.crcMbPerS << ",\n"
+           << "      \"stream_overhead\": " << r.streamOverhead << ",\n"
            << "      \"profile_speedup\": " << r.profileSpeedup << ",\n"
            << "      \"profile_par_speedup\": " << r.profileParSpeedup
            << ",\n"
@@ -563,6 +594,11 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
        << "    \"serve_speedup_geomean\": "
        << geomean(results, [](const KernelResult &r) {
               return r.serveSpeedup;
+          })
+       << ",\n"
+       << "    \"crc_mb_per_s_geomean\": "
+       << geomean(results, [](const KernelResult &r) {
+              return r.crcMbPerS;
           })
        << "\n  }\n}\n";
     return os.str();
@@ -1010,7 +1046,8 @@ main(int argc, char **argv)
                     "%7.1fms, %.2fx) "
                     "sim=%7.1fms (legacy %7.1fms, %.2fx; par %7.1fms, "
                     "%.2fx) predict=%6.2fms grid=%7.1fms (memo %7.1fms, "
-                    "%.2fx) cold=%7.1fms serve=%6.1fms (%.2fx)\n",
+                    "%.2fx) cold=%7.1fms serve=%6.1fms (%.2fx) "
+                    "crc=%7.0fMB/s\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.ops), r.ms["build"],
                     r.ms["profile_fused"], r.ms["profile_legacy"],
@@ -1020,7 +1057,7 @@ main(int argc, char **argv)
                     r.simSpeedup, r.ms["sim_par"], r.simParSpeedup,
                     r.ms["predict"], r.ms["grid"],
                     r.ms["grid_memo"], r.gridSpeedup, r.ms["study_cold"],
-                    r.ms["serve_warm"], r.serveSpeedup);
+                    r.ms["serve_warm"], r.serveSpeedup, r.crcMbPerS);
         results.push_back(std::move(r));
     }
     std::printf("bench_perf: geomean profile_speedup %.2fx | "
@@ -1028,7 +1065,7 @@ main(int argc, char **argv)
                 "%.2fx | sim_speedup "
                 "%.2fx | sim_par_speedup %.2fx | grid_speedup "
                 "%.2fx | study_cold %.1fms | serve_warm %.1fms "
-                "(%.2fx)\n",
+                "(%.2fx) | crc %.0fMB/s (%s)\n",
                 geomean(results, [](const KernelResult &r) {
                     return r.profileSpeedup;
                 }),
@@ -1058,7 +1095,11 @@ main(int argc, char **argv)
                 }),
                 geomean(results, [](const KernelResult &r) {
                     return r.serveSpeedup;
-                }));
+                }),
+                geomean(results, [](const KernelResult &r) {
+                    return r.crcMbPerS;
+                }),
+                crc32cUsesHardware() ? "hardware" : "portable");
 
     const std::string json = resultsToJson(results, scale, repeat, jobs);
     writeFileOrDie(out_path, json);

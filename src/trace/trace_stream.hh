@@ -138,7 +138,7 @@ struct TraceChunk
  * file. Zero-length columns are checked at construction.
  *
  * Thread-safe: chunks of different threads fold concurrently under an
- * internal mutex (the fold itself is a cheap table walk).
+ * internal mutex (the fold is the dispatched crc32cExtend kernel).
  */
 class StreamCrcVerifier
 {

@@ -1,18 +1,28 @@
 /**
  * @file
  * Unit tests for src/common: RNG determinism and distributions,
- * log-bucketed histogram semantics, running statistics and formatting.
+ * log-bucketed histogram semantics, running statistics, formatting and
+ * the CRC32C kernels behind every artifact checksum.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <set>
+#include <vector>
 
+#include "common/crc32c.hh"
 #include "common/histogram.hh"
+#include "common/mmap.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "trace/columnar.hh"
+#include "trace/trace_io.hh"
+#include "trace/trace_stream.hh"
+#include "workload/workload.hh"
 
 namespace rppm {
 namespace {
@@ -293,6 +303,141 @@ TEST(Stats, MeanAndMax)
     EXPECT_DOUBLE_EQ(maxOf({1.0, 5.0, 3.0}), 5.0);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
     EXPECT_DOUBLE_EQ(maxOf({}), 0.0);
+}
+
+// -------------------------------------------------------------- CRC32C ---
+
+/** Bit-at-a-time CRC32C straight from the reflected polynomial: shares
+ *  no table or instruction with either library kernel. */
+uint32_t
+crc32cBitwise(const unsigned char *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+/** Seeded random bytes. */
+std::vector<unsigned char>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<unsigned char> bytes(n);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32c, KnownAnswers)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(crc32c(check, 9), 0xE3069283u);
+    EXPECT_EQ(crc32cExtendPortable(kCrc32cInit, check, 9), 0xE3069283u);
+    EXPECT_EQ(crc32c(check, 0), 0u);
+    EXPECT_EQ(crc32c(nullptr, 0), kCrc32cInit);
+    EXPECT_EQ(crc32cExtendPortable(kCrc32cInit, nullptr, 0), kCrc32cInit);
+}
+
+TEST(Crc32c, HardwareKernelChosenWhenCpuHasIt)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    EXPECT_EQ(crc32cUsesHardware(),
+              static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#else
+    EXPECT_FALSE(crc32cUsesHardware());
+#endif
+}
+
+TEST(Crc32c, KernelsAgreeAtEveryLengthAndMisalignment)
+{
+    // The dispatched kernel (hardware where the CPU has it), the
+    // portable table walk and the bitwise oracle, over every length
+    // 0..300 at every start offset 0..7 from an 8-byte boundary: covers
+    // empty input, pure tails, and the 8-byte bulk loop entered
+    // unaligned.
+    constexpr size_t kMaxLen = 300;
+    constexpr size_t kMaxMisalign = 7;
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        const std::vector<unsigned char> bytes =
+            randomBytes(kMaxLen + kMaxMisalign, seed);
+        std::vector<uint64_t> storage((bytes.size() + 7) / 8);
+        std::memcpy(storage.data(), bytes.data(), bytes.size());
+        const auto *base =
+            reinterpret_cast<const unsigned char *>(storage.data());
+        for (size_t off = 0; off <= kMaxMisalign; ++off) {
+            for (size_t len = 0; len <= kMaxLen; ++len) {
+                const uint32_t want = crc32cBitwise(base + off, len);
+                ASSERT_EQ(crc32c(base + off, len), want)
+                    << "seed=" << seed << " off=" << off << " len=" << len;
+                ASSERT_EQ(crc32cExtendPortable(kCrc32cInit, base + off, len),
+                          want)
+                    << "seed=" << seed << " off=" << off << " len=" << len;
+            }
+        }
+    }
+}
+
+TEST(Crc32c, ExtendComposesAtEverySplit)
+{
+    const std::vector<unsigned char> bytes = randomBytes(257, 11);
+    const uint32_t whole = crc32cBitwise(bytes.data(), bytes.size());
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+        const size_t rest = bytes.size() - split;
+        EXPECT_EQ(crc32cExtend(crc32c(bytes.data(), split),
+                               bytes.data() + split, rest),
+                  whole)
+            << "split=" << split;
+        EXPECT_EQ(crc32cExtendPortable(
+                      crc32cExtendPortable(kCrc32cInit, bytes.data(), split),
+                      bytes.data() + split, rest),
+                  whole)
+            << "split=" << split;
+    }
+}
+
+TEST(Crc32c, TraceFileTrailersAreStable)
+{
+    // The nine block CRC trailers of each thread of one small seeded
+    // trace, as every earlier release wrote them (byte-at-a-time table
+    // kernel). A kernel change that moved any stored checksum would
+    // make every existing artifact unreadable.
+    const uint32_t kGolden[2][9] = {
+        {0xEDEBE6CBu, 0xE030817Fu, 0xB60BB721u, 0xCBC5C8F9u, 0xA364EA30u,
+         0x107EACEAu, 0xB85461E3u, 0xCA0F511Eu, 0xF7804D49u},
+        {0x10DD9731u, 0x6D5AACBAu, 0x4C4A7F1Au, 0x430D2063u, 0xE737377Bu,
+         0x10BE0F82u, 0x4173DC68u, 0x6D2BE195u, 0x30912199u},
+    };
+    WorkloadSpec spec = barrierLoopSpec(2, 3, 400);
+    spec.name = "crc-golden";
+    spec.seed = 13;
+    spec.csPerEpoch = 1;
+    const auto path = std::filesystem::temp_directory_path() /
+        "rppm-crc-golden.rppmtrc";
+    saveTraceToFile(ColumnarTrace::fromWorkload(generateWorkload(spec)),
+                    path.string());
+    {
+        const FdFile file(path.string());
+        const TraceFileLayout layout = indexTraceFile(file);
+        ASSERT_TRUE(layout.hasBlockCrcs);
+        ASSERT_EQ(layout.threads.size(), 2u);
+        for (size_t t = 0; t < layout.threads.size(); ++t) {
+            const ThreadLayout &th = layout.threads[t];
+            const ColumnExtent *cols[9] = {
+                &th.op,   &th.pc,      &th.dep1,     &th.dep2,   &th.addr,
+                &th.taken, &th.syncPos, &th.syncType, &th.syncArg};
+            for (size_t c = 0; c < 9; ++c)
+                EXPECT_EQ(cols[c]->crc, kGolden[t][c])
+                    << "thread " << t << " column " << c;
+        }
+        EXPECT_EQ(verifyTraceFileCrcs(file, layout), 18u);
+    }
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
 }
 
 // -------------------------------------------------------- TablePrinter ---

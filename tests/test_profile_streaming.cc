@@ -9,8 +9,9 @@
  * and every job count, on every kernel of the workload suite. Equality
  * is asserted through the deterministic text serializer. On top of the
  * identity sweep: structural rejection of truncated/corrupt trace
- * files at every prefix length, chunk-size exclusion from the profile
- * cache key, and artifact identity across all three engines.
+ * files at every prefix length, checksum rejection of a flipped payload
+ * byte in every streamed data column, chunk-size exclusion from the
+ * profile cache key, and artifact identity across all three engines.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "study/source.hh"
 #include "trace/columnar.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_stream.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
 
@@ -254,6 +256,97 @@ TEST(StreamingProfiler, TruncatedFileRejectedAtEveryPrefix)
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(whole.data(), static_cast<std::streamsize>(whole.size()));
     os.close();
+    EXPECT_NO_THROW(profileWorkloadStreamingFile(path.string(), opts));
+
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+}
+
+TEST(StreamingProfiler, FlippedPayloadByteRejectedAsChecksumMismatch)
+{
+    // The streamed engine verifies each column's CRC trailer as its
+    // chunk windows are mapped. One flipped byte in the pc, dep1, dep2
+    // or addr payload — mid-column at an offset that is not a multiple
+    // of 8, or in the column's last (partial) 8-byte word — must fail
+    // the profile as a checksum mismatch. 1000-record chunks make the
+    // folded windows start off 8-byte boundaries, so the checksum
+    // kernel sees unaligned bulk and short tails.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec("stream-flip")));
+    const TempTraceFile file(cols);
+    std::string whole;
+    {
+        std::ifstream is(file.path(), std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        whole = buf.str();
+    }
+    ThreadLayout th;
+    {
+        const FdFile fd(file.path());
+        const TraceFileLayout layout = indexTraceFile(fd);
+        ASSERT_TRUE(layout.hasBlockCrcs);
+        // Pick a thread whose 2- and 4-byte columns end mid-word.
+        bool found = false;
+        for (const ThreadLayout &t : layout.threads) {
+            if (t.records % 2 == 1) {
+                th = t;
+                found = true;
+                break;
+            }
+        }
+        ASSERT_TRUE(found) << "no thread with a partial last word";
+    }
+
+    struct Column
+    {
+        const char *name;
+        ColumnExtent ext;
+        size_t elemSize;
+    };
+    const Column columns[] = {{"pc", th.pc, 4},
+                              {"dep1", th.dep1, 2},
+                              {"dep2", th.dep2, 2},
+                              {"addr", th.addr, 8}};
+
+    const auto path = std::filesystem::temp_directory_path() /
+        "rppm-stream-flipped.rppmtrc";
+    ProfilerOptions opts;
+    opts.streamChunkRecords = 1000;
+    opts.jobs = 2;
+    for (const Column &col : columns) {
+        const uint64_t bytes = col.ext.count * col.elemSize;
+        ASSERT_GT(col.ext.count, opts.streamChunkRecords) << col.name;
+        const uint64_t mid = bytes / 2 / 8 * 8 + 5;
+        const uint64_t last = bytes - 1;
+        if (col.elemSize < 8) {
+            ASSERT_NE(bytes % 8, 0u) << col.name;
+        }
+        for (const uint64_t at : {mid, last}) {
+            std::string damaged = whole;
+            damaged[col.ext.offset + at] ^= 0x01;
+            {
+                std::ofstream os(path, std::ios::binary | std::ios::trunc);
+                os.write(damaged.data(),
+                         static_cast<std::streamsize>(damaged.size()));
+            }
+            try {
+                profileWorkloadStreamingFile(path.string(), opts);
+                ADD_FAILURE() << col.name << " flip at payload byte " << at
+                              << " was not detected";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                          std::string::npos)
+                    << col.name << " byte " << at << ": " << e.what();
+            }
+        }
+    }
+
+    // The undamaged bytes profile cleanly under the same options.
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(whole.data(), static_cast<std::streamsize>(whole.size()));
+    }
     EXPECT_NO_THROW(profileWorkloadStreamingFile(path.string(), opts));
 
     std::error_code ec;
