@@ -21,11 +21,12 @@
  *              [--write-baseline FILE]
  *
  * --jobs drives every parallel knob at once: the Study worker pool of
- * the grid phases, the parallel profiler of the profile_par phase, the
+ * the grid phases, the multi-worker profiler of the profile_par and
+ * profile_stream phases, the
  * parallel simulator of the sim_par phase, and the fully-parallel cold
  * Study of the study_cold phase (trace build + profile + memoized grid,
  * end to end from a spec). profile_par_speedup (fused wall time /
- * parallel wall time), sim_speedup (legacy / columnar), sim_par_speedup
+ * multi-worker wall time), sim_speedup (legacy / columnar), sim_par_speedup
  * (columnar sequential / parallel) and the other per-kernel speedups
  * are summarized as geomeans in a "summary" JSON block and on stdout.
  *
@@ -64,8 +65,9 @@
  * --min-serve-speedup — the "predict many" payoff of keeping the
  * profile-once state alive in a daemon.
  *
- * The profile_stream phase runs the out-of-core streaming engine
- * (default chunk size, --jobs workers) over the in-memory trace;
+ * The profile_stream phase runs the same multi-worker engine (--jobs
+ * workers) over the in-memory trace, with a chunk size scaled to split
+ * each thread into ~8 chunks (or --stream-chunk);
  * stream_overhead = profile_stream_ms / profile_fused_ms is the price
  * of chunked execution on a trace that would have fit in memory anyway
  * — its geomean is gated via --max-stream-overhead (CI uses 1.15: the
@@ -322,20 +324,21 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     result.profileSpeedup =
         result.ms["profile_legacy"] / result.ms["profile_fused"];
 
-    // Parallel epoch-sharded profiler on the harness's --jobs workers.
-    // profile_par_speedup is fused/parallel wall time: > 1 means the
-    // worker pool beats the single-threaded fused sweep (expect ~1.0 or
-    // slightly below when --jobs 1 or on a single-core machine — the
-    // sharded engine then pays its scatter overhead with no cores to
-    // spend it on).
+    // profileWorkload() on the harness's --jobs workers: the dispatch
+    // users hit, which runs the chunked multi-worker engine (default
+    // chunk, so one chunk for any smoke-scale trace) whenever jobs != 1.
+    // profile_par_speedup is fused/multi-worker wall time: > 1 means the
+    // worker pool beats the single-threaded fused sweep (exactly the
+    // fused sweep at --jobs 1; expect slightly below 1.0 on a
+    // single-core machine with --jobs > 1 — the sharded engine then pays
+    // its scatter overhead with no cores to spend it on).
     ProfilerOptions paropts;
     paropts.jobs = jobs;
     WorkloadProfile parProfile;
-    timed("profile_par", [&] {
-        parProfile = profileWorkloadParallel(cols, paropts);
-    });
+    timed("profile_par",
+          [&] { parProfile = profileWorkload(cols, paropts); });
     if (parProfile.totalOps() != profile.totalOps())
-        std::fprintf(stderr, "warning: parallel/fused op mismatch\n");
+        std::fprintf(stderr, "warning: multi-worker/fused op mismatch\n");
     result.profileParSpeedup =
         result.ms["profile_fused"] / result.ms["profile_par"];
 

@@ -9,9 +9,10 @@
  * yields byte-identical results.
  *
  * Users: the Study grid executor (study/executor.hh re-exports this
- * class under its historical name), the parallel profiler's phase
- * fan-outs (profile/profiler_parallel.cc) and parallel trace synthesis
- * (workload/workload.cc).
+ * class under its historical name), the parallel simulator's phase
+ * fan-outs (sim/simulator_parallel.cc) and parallel trace synthesis
+ * (workload/workload.cc). The multi-worker profiler pipelines its
+ * phases on the WorkDeque below instead (profile/profiler_stream.cc).
  */
 
 #ifndef RPPM_COMMON_PARALLEL_HH

@@ -14,8 +14,8 @@
  * write-invalidation detection) is semantically identical to the
  * reference implementation in profiler_legacy.cc — tests assert the two
  * produce bit-identical profiles. The per-record statistics loop itself
- * lives in profile/stat_sweep.hh, shared with the parallel and streaming
- * engines; this engine instantiates it with a *live* reuse-distance
+ * lives in profile/stat_sweep.hh, shared with the multi-worker
+ * streaming engine; this engine instantiates it with a *live* reuse-distance
  * provider that probes the global LineTable in replay order, fusing
  * reuse-distance resolution into the same pass.
  */
@@ -38,7 +38,7 @@ namespace {
 
 // LineTable / SeqTable / InstrLineMap — the open-addressing state tables
 // this sweep runs on — live in profile/reuse_tables.hh, shared with the
-// parallel engine (profiler_parallel.cc).
+// streaming engine (profiler_stream.cc).
 
 /** Per-thread profiling cursor and scratch state. */
 struct ThreadState
@@ -233,18 +233,15 @@ profileWorkloadFused(const ColumnarTrace &trace, const ProfilerOptions &opts)
 WorkloadProfile
 profileWorkload(const ColumnarTrace &trace, const ProfilerOptions &opts)
 {
-    // Engine selection is pure policy — all engines produce bit-identical
-    // profiles, so neither jobs nor streamChunkRecords enters the
-    // ProfileCache key (study/profile_cache.cc). streamChunkRecords > 0
-    // opts into the bounded-memory chunked engine; otherwise jobs == 1
-    // keeps the original single-threaded fused sweep (no scheduling-pass
-    // or scatter overhead) and any other value routes to the
-    // epoch-sharded parallel engine.
-    if (opts.streamChunkRecords > 0)
-        return profileWorkloadStreaming(trace, opts);
-    if (opts.jobs == 1)
+    // Engine selection is pure policy — the fused and streaming engines
+    // produce bit-identical profiles, so neither jobs nor streamChunkRecords
+    // enters the ProfileCache key (study/profile_cache.cc). One worker
+    // over a resident trace keeps the single-threaded fused sweep (no
+    // replay pass, no scatter); anything else — more workers, or an
+    // explicit chunk size — runs the chunked multi-worker engine.
+    if (opts.jobs == 1 && opts.streamChunkRecords == 0)
         return profileWorkloadFused(trace, opts);
-    return profileWorkloadParallel(trace, opts);
+    return profileWorkloadStreaming(trace, opts);
 }
 
 WorkloadProfile

@@ -22,6 +22,7 @@
  * std::unordered_map. The original multi-pass AoS implementation is kept
  * as profileWorkloadLegacy() (profiler_legacy.cc) and the two are
  * bit-identical by test.
+
  *
  * The output is a WorkloadProfile: only microarchitecture-independent
  * statistics, collected once, usable to predict any MulticoreConfig.
@@ -65,74 +66,64 @@ struct ProfilerOptions
     bool detectInvalidation = true;
 
     /**
-     * Worker threads for the profile itself (1 = the single-threaded
-     * fused sweep, 0 = all hardware threads, n = the epoch-sharded
-     * parallel engine on n workers). Pure execution policy: the profile
-     * is bit-identical for every value, so this knob is deliberately
+     * Worker threads for the profile itself (0 = all hardware threads).
+     * 1 with streamChunkRecords == 0 runs the single-threaded fused
+     * sweep; any other combination runs the chunked multi-worker engine
+     * on this many workers. Pure execution policy: the profile is
+     * bit-identical for every value, so this knob is deliberately
      * excluded from profilerOptionsKey() and thus from ProfileCache
      * keys — a cached profile serves every job count.
      */
     unsigned jobs = 1;
 
     /**
-     * Records per streaming chunk for the out-of-core engine (0 = do not
-     * stream; profileWorkload() picks fused/parallel as usual). Like
-     * jobs, pure execution policy — the streaming engine is bit-identical
-     * to the fused sweep at every chunk size, so this knob too stays out
-     * of profilerOptionsKey() and ProfileCache keys.
+     * Records per thread per chunk of the multi-worker engine (0 = its
+     * default, kDefaultStreamChunkRecords; with jobs == 1, 0 also keeps
+     * the fused sweep). Smaller chunks bound peak memory tighter; larger
+     * ones amortize the per-chunk barriers. Like jobs, pure execution
+     * policy — the engine is bit-identical to the fused sweep at every
+     * chunk size, so this knob too stays out of profilerOptionsKey() and
+     * ProfileCache keys.
      */
     uint64_t streamChunkRecords = 0;
 };
 
-/** Default chunk size when an entry point wants streaming but the caller
- *  left streamChunkRecords at 0 (~4M records ≈ 32 MiB of dense columns
- *  per in-flight chunk per thread). */
+/** Chunk size of the multi-worker engine when streamChunkRecords is 0
+ *  (~4M records ≈ 32 MiB of dense columns per in-flight chunk per
+ *  thread). */
 constexpr uint64_t kDefaultStreamChunkRecords = uint64_t{1} << 22;
 
 /** Profile @p trace once; the result predicts any architecture. This is
- *  the hot path of every Study grid: opts.jobs == 1 runs the fused
- *  single-pass sweep, any other value the parallel engine — the output
- *  is bit-identical either way. */
+ *  the hot path of every Study grid: opts.jobs == 1 with
+ *  opts.streamChunkRecords == 0 runs the fused single-pass sweep, any
+ *  other combination the chunked multi-worker engine
+ *  (profileWorkloadStreaming) — the output is bit-identical either way. */
 WorkloadProfile profileWorkload(const ColumnarTrace &trace,
                                 const ProfilerOptions &opts = {});
 
 /** The fused single-threaded sweep, callable directly (differential
- *  tests, and the speedup baseline of the parallel engine). */
+ *  tests, and the speedup baseline of the multi-worker engine). */
 WorkloadProfile profileWorkloadFused(const ColumnarTrace &trace,
                                      const ProfilerOptions &opts = {});
 
 /**
- * The parallel epoch-sharded profiler, callable directly regardless of
- * opts.jobs (opts.jobs selects the worker count; even jobs == 1 runs
- * the sharded engine serially, which the differential tests exploit).
- *
- * Decomposition (profiler_parallel.cc): a cheap sequential replay of
- * the round-robin schedule over the sparse sync columns pins down the
- * exact global interleaving; the interleaved reuse/coherence resolution
- * is sharded by line hash across the worker pool (per-shard LineTables,
- * shared write-timestamp semantics preserved exactly); and the
- * per-thread statistics sweep — instruction mix, dependence and
- * instruction-reuse distances, branch entropy, micro-trace sampling —
- * fans out one thread per worker, consuming the pre-resolved reuse
- * distances. Bit-identical to profileWorkloadFused() by construction
- * and by test.
- */
-WorkloadProfile profileWorkloadParallel(const ColumnarTrace &trace,
-                                        const ProfilerOptions &opts = {});
-
-/**
- * The chunked streaming profiler over an in-memory columnar trace,
- * callable directly regardless of opts.streamChunkRecords (0 falls back
- * to kDefaultStreamChunkRecords). Processes each thread's records in
- * fixed-size chunks through the same phase decomposition as the parallel
- * engine — per-chunk bucketing overlaps with shard resolution of the
- * previous chunk, and the statistics sweep consumes chunk-local reuse
- * arrays from a carried cursor — so peak scratch memory is bounded by
- * the chunk size instead of the trace size. Bit-identical to
- * profileWorkloadFused() by construction and by test.
+ * The chunked multi-worker profiler over an in-memory columnar trace,
+ * callable directly regardless of opts (opts.jobs workers, even 1;
+ * opts.streamChunkRecords == 0 falls back to kDefaultStreamChunkRecords).
+ * An exact schedule replay, line-hash-sharded reuse resolution and a
+ * segmented statistics sweep, pipelined over fixed-size record chunks
+ * (profiler_stream.cc), so scratch memory is bounded by the chunk size
+ * instead of the trace size. Bit-identical to profileWorkloadFused() by
+ * construction and by test.
  */
 WorkloadProfile profileWorkloadStreaming(const ColumnarTrace &trace,
                                          const ProfilerOptions &opts = {});
+
+/** Forwards to profileWorkloadStreaming(). Kept only because the
+ *  repository benchmark (benchmark/rppm_benchmark.cc) calls it by this
+ *  name; new code calls profileWorkload() or profileWorkloadStreaming(). */
+WorkloadProfile profileWorkloadParallel(const ColumnarTrace &trace,
+                                        const ProfilerOptions &opts = {});
 
 /**
  * The out-of-core entry point: streams an RPPMTRC container straight

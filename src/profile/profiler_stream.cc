@@ -1,57 +1,68 @@
 /**
  * @file
- * Out-of-core streaming profiler — bit-identical to the fused sweep
- * with peak memory bounded by the chunk size, not the trace size.
+ * The multi-worker profiler: chunked, pipelined, and bit-identical to
+ * the fused sweep, with peak memory bounded by the chunk size, not the
+ * trace size.
  *
- * The fused and parallel engines both require the whole trace resident
- * (owned columns or a whole-file mapping), so their peak address-space
- * charge is O(trace). This engine processes the trace in fixed-size
- * chunks of streamChunkRecords records per thread, keeping at most two
- * chunks in flight, and produces exactly the same profile — the same
- * bits, for every chunk size and job count.
+ * The fused sweep (profiler.cc) is inherently sequential: the
+ * multi-threaded StatStack extension orders every memory access of
+ * every thread on one global sequence counter, and coherence
+ * invalidation compares per-line write timestamps across threads. This
+ * engine reproduces exactly the same profile — the same bits, for every
+ * job count and chunk size — by splitting the sweep into phases whose
+ * parallel grains are independent by construction, run over chunks of
+ * streamChunkRecords records per thread (at most two in flight):
  *
- * The decomposition is the parallel engine's (see
- * profiler_parallel.cc), re-cut along the record axis:
+ *  A+B. Replay   (main thread) The pausable replay of the round-robin
+ *                quantum scheduler over the sparse sync columns
+ *                (profile/schedule_replay.hh), advanced until every live
+ *                thread reaches the next chunk target. It pauses only
+ *                between quantum slices, so chunk edges are run edges,
+ *                and it yields the exact global sequence number of every
+ *                run's first access. Its memory oracle is a rolling scan
+ *                of the op column, which also yields the sparse
+ *                addr/taken offsets of each chunk edge.
+ *  C. Emit       (one task per thread) (line, gseq, ordinal) access
+ *                entries, bucketed by line-hash shard.
+ *  D. Resolve    (one task per shard) Merge the shard's per-thread lists
+ *                by gseq — the order the fused sweep touched these lines
+ *                — through a persistent shard LineTable, resolving the
+ *                interleaved and per-thread reuse distances and the
+ *                coherence rule ("another thread wrote the line since my
+ *                last access" => infinite distance). Absolute gseqs and
+ *                ordinals make the per-chunk merges a partition of the
+ *                whole-trace merge; results scatter into per-thread
+ *                slots indexed by ordinal, each written exactly once.
+ *  E. Sweep      (one task per segment) The shared statistics sweep
+ *                (profile/stat_sweep.hh) over the resolved distances.
+ *                Each thread's chunk splits into up to 4 x jobs
+ *                segments: a cursor dry-run from the thread's carried
+ *                SweepState pins each segment's entry state, segments
+ *                sweep concurrently, and each thread stitches them in
+ *                record order, carrying cursor and instruction-line map
+ *                into the next chunk.
+ *  F. Classify   (once, at the end) Sync counts and condvar classes.
  *
- *  1. The pausable schedule replayer (profile/schedule_replay.hh) is
- *     advanced until every live thread's record cursor reaches the next
- *     chunk target. It pauses only between quantum slices, so the
- *     resulting chunk edges are exact run boundaries: every scheduled
- *     run lies wholly inside one chunk, and the global sequence numbers
- *     it assigns are identical to the unpaused replay's. The memory
- *     oracle it needs is a rolling forward scan of the op column (a
- *     small mapped window for file sources), which also yields the
- *     sparse addr/taken offsets of each chunk edge.
- *  2. Phase C (shard-bucketed access emit) runs per (chunk, thread)
- *     over just-mapped column windows.
- *  3. Phase D (per-shard reuse resolution) runs per shard against
- *     *persistent* shard LineTables that carry line state across
- *     chunks; the absolute ordinals and global sequence numbers make
- *     the per-chunk merges a partition of the whole-trace merge.
- *  4. Phase E is the shared statistics sweep (profile/stat_sweep.hh),
- *     one segment per (chunk, thread) with the SweepState cursor and
- *     InstrLineMap carried across chunks and stitched in chunk order.
- *
- * The phases of consecutive chunks overlap through a shared work deque
- * (common/parallel.hh): chunk k+1's emit tasks are queued before chunk
- * k's resolve tasks, and the barrier waits help execute whatever is at
- * the front of the deque, so workers flow across the C/D boundary
- * instead of idling at it. The main thread advances the replayer for
- * chunk k+1 while workers bucket chunk k.
+ * Consecutive chunks overlap on one shared work deque
+ * (common/parallel.hh): the main thread replays chunk k+1 while workers
+ * bucket chunk k, and chunk k+1's emit tasks queue ahead of chunk k's
+ * resolve tasks, so workers flow across the C/D boundary.
  *
  * Sources: an in-memory ColumnarTrace (windows are pointer slices into
- * its columns) or an RPPMTRC file accessed through the chunked reader
- * (trace/trace_stream.hh) — index the container, keep only the sparse
- * sync columns resident, and map each chunk's column slices on demand.
- * The file path never materializes the trace, so profiling a trace far
- * larger than the address-space budget succeeds where the whole-file
- * loaders cannot even map their input (tests/test_profile_streaming,
- * CI stream-smoke).
+ * its columns) or an RPPMTRC file read through the chunked reader
+ * (trace/trace_stream.hh), which keeps only the sparse sync columns
+ * resident and maps each chunk's column slices on demand — so traces
+ * far larger than the address-space budget profile where the
+ * whole-file loaders cannot even map their input (CI stream-smoke).
+ * tests/test_profile_streaming asserts byte-identity with the fused
+ * engine on the whole suite across chunk sizes and job counts.
  */
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -159,13 +170,17 @@ class MemorySource final : public StreamSource
     countRange(uint32_t t, size_t lo, size_t hi, uint64_t &mems,
                uint64_t &branches) override
     {
-        const Column<OpClass> &op = trace_.threads[t].op;
+        // Branch-free: the op column is mixed enough that a
+        // data-dependent branch here mispredicts constantly.
+        const OpClass *op = trace_.threads[t].op.data();
+        uint64_t m = 0;
+        uint64_t b = 0;
         for (size_t i = lo; i < hi; ++i) {
-            if (isMemory(op[i]))
-                ++mems;
-            else if (op[i] == OpClass::Branch)
-                ++branches;
+            m += isMemory(op[i]);
+            b += op[i] == OpClass::Branch;
         }
+        mems += m;
+        branches += b;
     }
 
     TraceChunk
@@ -311,15 +326,27 @@ struct Run
     uint64_t memBase;
 };
 
-/** One memory access routed to a line-hash shard (as in the parallel
- *  engine; the ordinal is absolute, so shard state carries verbatim). */
+/** One memory access routed to a line-hash shard. The ordinal is
+ *  absolute, so shard state carries across chunks verbatim. */
 struct AccessEntry
 {
     uint64_t line;
-    uint64_t gseq;
-    uint32_t ordinal;
+    uint64_t gseq;    ///< global sequence number (from the schedule)
+    uint32_t ordinal; ///< index into the thread's sparse addr column
     uint32_t isStore;
 };
+
+/** The two reuse distances phase D resolves for one access. */
+struct AccessRd
+{
+    uint64_t local;
+    uint64_t global;
+};
+
+/** Records below which a thread's chunk is not worth splitting: the
+ *  boundary dry-run and stitch are O(range) and O(touched lines), so
+ *  tiny segments would be all overhead. */
+constexpr size_t kMinSegmentRecords = 4096;
 
 /** One thread's slice of one in-flight chunk. */
 struct ThreadChunk
@@ -331,16 +358,23 @@ struct ThreadChunk
     TraceChunk data;
     /** Phase-C output: per-shard access entries. */
     std::vector<std::vector<AccessEntry>> buckets;
-    /** Phase-D output, indexed ordinal - memLo. */
-    std::vector<uint64_t> localRd, globalRd;
+    /** Phase-D output, indexed ordinal - memLo. Left uninitialized:
+     *  phase D writes every slot exactly once. */
+    std::unique_ptr<AccessRd[]> rd;
+    /** Phase-E output, one per segment in record order. */
+    std::vector<SegmentSweep> sweeps;
 };
 
-/** One in-flight chunk (the pipeline keeps two alive). */
-struct ChunkState
+/** Absolute-index view of a thread chunk's column windows. */
+WindowCols
+windowCols(const ThreadChunk &tc)
 {
-    std::vector<ThreadChunk> threads;
-    bool valid = false;
-};
+    return WindowCols{{tc.data.op, tc.recLo},
+                      {tc.data.pc, tc.recLo},
+                      {tc.data.dep1, tc.recLo},
+                      {tc.data.dep2, tc.recLo},
+                      {tc.data.taken, static_cast<size_t>(tc.brLo)}};
+}
 
 WorkloadProfile
 streamProfile(StreamSource &src, const ProfilerOptions &opts)
@@ -368,10 +402,13 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
 
     WorkDeque deque(opts.jobs);
 
-    // Same shard geometry as the parallel engine (profiler_parallel.cc
-    // phase C); the per-shard LineTables here are *persistent*, carrying
-    // line state across chunks so the per-chunk resolves compose to the
-    // whole-trace merge.
+    // Shards partition the line space by the *high* bits of the same
+    // mix64 hash the LineTable probes with its low bits, so shard
+    // assignment and in-shard probing stay uncorrelated. The shard count
+    // is pure execution policy — every count yields the same profile.
+    // The per-shard LineTables are *persistent*, carrying line state
+    // across chunks so the per-chunk resolves compose to the whole-trace
+    // merge.
     unsigned shardBits = 3;
     while ((1u << shardBits) < std::min(64u, deque.jobs() * 4))
         ++shardBits;
@@ -382,10 +419,7 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     // distinct lines than a couple of chunks' worth of accesses.
     const uint64_t line_hint =
         std::min(total_mems, 2 * chunk_records * num_threads) / numShards;
-    std::vector<LineTable> shardLines;
-    shardLines.reserve(numShards);
-    for (size_t s = 0; s < numShards; ++s)
-        shardLines.emplace_back(num_threads, line_hint);
+    std::vector<std::optional<LineTable>> shardLines(numShards);
 
     // The replayer's memory oracle: a rolling forward scan of the op
     // column tracking the absolute sparse offsets reached so far. At
@@ -399,7 +433,6 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     std::vector<size_t> prevCursor(num_threads, 0);
     std::vector<uint64_t> prevMemHi(num_threads, 0);
     std::vector<uint64_t> prevBrHi(num_threads, 0);
-    bool replayDone = false;
 
     auto memCount = [&](uint32_t t, size_t, size_t hi) -> uint64_t {
         const uint64_t before = memSoFar[t];
@@ -409,23 +442,21 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     };
 
     // Carried phase-E state, one per thread: the sweep cursor, and the
-    // instruction-line map the chunk stitches resolve against.
+    // instruction-line map the segment stitches resolve against.
     std::vector<SweepState> eCursor(num_threads);
     std::vector<InstrLineMap> carried(num_threads);
 
-    ChunkState chunks[2];
+    std::vector<ThreadChunk> chunks[2]; // the two in-flight chunks
     WorkDeque::Group cGroup[2];
-    WorkDeque::Group dGroup;
-    WorkDeque::Group eGroup;
+    WorkDeque::Group stage; // phases D, E and the stitch of one chunk
 
-    // Advance the replayer one chunk and materialize its windows.
-    // Returns false (st.valid == false) once the schedule is spent.
-    auto advanceChunk = [&](ChunkState &st) -> bool {
-        st.valid = false;
-        if (replayDone)
+    // Advance the replayer one chunk and materialize its windows into
+    // @p st. Returns false once the schedule is spent.
+    auto advanceChunk = [&](std::vector<ThreadChunk> &st) -> bool {
+        if (replayer.done())
             return false;
-        st.threads.clear();
-        st.threads.resize(num_threads);
+        st.clear();
+        st.resize(num_threads);
 
         std::vector<size_t> target(num_threads);
         for (uint32_t t = 0; t < num_threads; ++t) {
@@ -447,20 +478,18 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
             }
             return true;
         };
-        replayDone = replayer.advance(
+        replayer.advance(
             memCount,
             [&](uint32_t t, size_t lo, size_t hi, uint64_t gseqBase,
                 uint64_t mem) {
-                if (mem > 0) {
-                    st.threads[t].runs.push_back(
-                        Run{lo, hi, gseqBase, memSoFar[t] - mem});
-                }
+                st[t].runs.push_back(
+                    Run{lo, hi, gseqBase, memSoFar[t] - mem});
             },
             pause);
 
         bool any = false;
         for (uint32_t t = 0; t < num_threads; ++t) {
-            ThreadChunk &tc = st.threads[t];
+            ThreadChunk &tc = st[t];
             tc.recLo = prevCursor[t];
             tc.recHi = replayer.recordCursor(t);
             prevCursor[t] = tc.recHi;
@@ -475,21 +504,20 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
             any = true;
             tc.data = src.fetch(t, tc.recLo, tc.recHi, tc.memLo, tc.memHi,
                                 tc.brLo, tc.brHi);
-            // Phase D scatters into these from multiple shard tasks;
-            // allocate them here, before any task can run.
-            tc.localRd.resize(tc.memHi - tc.memLo);
-            tc.globalRd.resize(tc.memHi - tc.memLo);
+            // Phase D scatters into this from multiple shard tasks;
+            // allocate it here, before any task can run.
+            tc.rd = std::make_unique_for_overwrite<AccessRd[]>(
+                static_cast<size_t>(tc.memHi - tc.memLo));
         }
-        st.valid = any;
         return any;
     };
 
     // --- Phase C of one chunk: shard-bucketed access emit, one task
-    //     per thread (identical math to the parallel engine, with run
-    //     memBase standing in for the memory prefix array).
-    auto postEmit = [&](ChunkState &st, WorkDeque::Group &group) {
+    //     per thread (run memBase stands in for a memory prefix array).
+    auto postEmit = [&](std::vector<ThreadChunk> &st,
+                        WorkDeque::Group &group) {
         for (uint32_t t = 0; t < num_threads; ++t) {
-            ThreadChunk &tc = st.threads[t];
+            ThreadChunk &tc = st[t];
             if (tc.runs.empty())
                 continue;
             deque.post(group, [&opts, &tc, numShards, shardBits] {
@@ -499,20 +527,26 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                     16;
                 for (auto &bucket : tc.buckets)
                     bucket.reserve(expect);
+                // Locals, not tc's fields: the pushes below could alias
+                // those, forcing a reload per access.
+                const OpClass *op = tc.data.op;
+                const uint64_t *addr = tc.data.addr;
+                std::vector<AccessEntry> *buckets = tc.buckets.data();
+                const size_t recLo = tc.recLo;
+                const uint64_t memLo = tc.memLo;
                 for (const Run &run : tc.runs) {
                     uint64_t j = run.memBase;
                     uint64_t gseq = run.gseqBase;
                     for (size_t i = run.start; i < run.end; ++i) {
-                        const OpClass op = tc.data.op[i - tc.recLo];
-                        if (!isMemory(op))
+                        const OpClass cls = op[i - recLo];
+                        if (!isMemory(cls))
                             continue;
-                        const uint64_t line =
-                            tc.data.addr[j - tc.memLo] / opts.lineBytes;
+                        const uint64_t line = addr[j - memLo] / opts.lineBytes;
                         const size_t shard = static_cast<size_t>(
                             mix64(line + 1) >> (64 - shardBits));
-                        tc.buckets[shard].push_back(AccessEntry{
+                        buckets[shard].push_back(AccessEntry{
                             line, ++gseq, static_cast<uint32_t>(j),
-                            op == OpClass::Store});
+                            cls == OpClass::Store});
                         ++j;
                     }
                 }
@@ -521,39 +555,54 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     };
 
     // --- Phase D of one chunk: per-shard reuse resolution against the
-    //     persistent shard tables. Byte-for-byte the parallel engine's
-    //     merge: absolute gseqs make per-chunk in-order globally
-    //     in-order, absolute ordinals make the counts carry verbatim.
-    auto postResolve = [&](ChunkState &st, WorkDeque::Group &group) {
+    //     persistent shard tables. Absolute gseqs make per-chunk
+    //     in-order globally in-order; absolute ordinals make the counts
+    //     carry verbatim.
+    auto postResolve = [&](std::vector<ThreadChunk> &st,
+                           WorkDeque::Group &group) {
         for (size_t s = 0; s < numShards; ++s) {
-            deque.post(group, [&st, &shardLines, &opts, num_threads, s] {
-                auto entries =
-                    [&](uint32_t t) -> std::vector<AccessEntry> & {
-                    return st.threads[t].buckets[s];
+            deque.post(group, [&st, &shardLines, &opts, num_threads,
+                               line_hint, s] {
+                // This shard's non-empty per-thread entry lists, each
+                // already ascending in gseq (gseqs are globally unique).
+                struct Cursor
+                {
+                    const AccessEntry *at;
+                    const AccessEntry *end;
+                    uint32_t tid;
                 };
-                uint64_t shard_accesses = 0;
+                std::vector<Cursor> lists;
                 for (uint32_t t = 0; t < num_threads; ++t) {
-                    if (!st.threads[t].buckets.empty())
-                        shard_accesses += entries(t).size();
-                }
-                if (shard_accesses == 0)
-                    return;
-                LineTable &lines = shardLines[s];
-
-                std::vector<size_t> at(num_threads, 0);
-                for (uint64_t n = 0; n < shard_accesses; ++n) {
-                    uint32_t tid = UINT32_MAX;
-                    uint64_t best = UINT64_MAX;
-                    for (uint32_t t = 0; t < num_threads; ++t) {
-                        if (st.threads[t].buckets.empty())
-                            continue;
-                        if (at[t] < entries(t).size() &&
-                            entries(t)[at[t]].gseq < best) {
-                            best = entries(t)[at[t]].gseq;
-                            tid = t;
-                        }
+                    const std::vector<std::vector<AccessEntry>> &b =
+                        st[t].buckets;
+                    if (!b.empty() && !b[s].empty()) {
+                        lists.push_back(Cursor{
+                            b[s].data(), b[s].data() + b[s].size(), t});
                     }
-                    const AccessEntry &e = entries(tid)[at[tid]++];
+                }
+                // The shard's first resolve task creates its table, so
+                // tables allocate in parallel on the workers. Resolve into
+                // a local: adjacent tables' occupancy counters share cache
+                // lines, which concurrent shards would otherwise ping-pong
+                // on every insert.
+                LineTable lines = shardLines[s] ?
+                    std::move(*shardLines[s]) :
+                    LineTable(num_threads, line_hint);
+
+                // Deterministic merge by global sequence number: exactly
+                // the order in which the fused sweep touched these lines.
+                while (!lists.empty()) {
+                    size_t pick = 0;
+                    for (size_t l = 1; l < lists.size(); ++l) {
+                        if (lists[l].at->gseq < lists[pick].at->gseq)
+                            pick = l;
+                    }
+                    const AccessEntry &e = *lists[pick].at++;
+                    const uint32_t tid = lists[pick].tid;
+                    if (lists[pick].at == lists[pick].end) {
+                        lists[pick] = lists.back();
+                        lists.pop_back();
+                    }
 
                     const size_t slot = lines.slot(e.line);
                     LineTable::Meta &meta = lines.meta(slot);
@@ -569,12 +618,14 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                             opts.detectInvalidation &&
                             meta.lastWriteSeq > mine.seq &&
                             meta.lastWriter != tid;
+                        // The thread's data-access counter at any access
+                        // is ordinal+1, so the fused sweep's
+                        // localDataSeq - count - 1 is this difference.
                         if (!invalidated)
                             local = e.ordinal - (mine.count - 1) - 1;
                     }
-                    ThreadChunk &tc = st.threads[tid];
-                    tc.localRd[e.ordinal - tc.memLo] = local;
-                    tc.globalRd[e.ordinal - tc.memLo] = global;
+                    ThreadChunk &tc = st[tid];
+                    tc.rd[e.ordinal - tc.memLo] = AccessRd{local, global};
 
                     mine.count = static_cast<uint64_t>(e.ordinal) + 1;
                     mine.seq = e.gseq;
@@ -584,37 +635,71 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                         meta.lastWriter = tid;
                     }
                 }
+                shardLines[s] = std::move(lines);
             });
         }
     };
 
-    // --- Phase E of one chunk: the shared statistics sweep, one
-    //     segment per thread, cursor carried across chunks and stitched
-    //     in-task (chunks arrive in order; threads are independent).
-    auto postSweep = [&](ChunkState &st, WorkDeque::Group &group) {
+    // --- Phase E of one chunk: the shared statistics sweep, segmented.
+    //     One planning task per thread dry-runs the sweep cursor from the
+    //     thread's carried state (1-byte op column reads, no statistics)
+    //     and posts each segment the moment its exact entry cursor is
+    //     known, so segments sweep while later boundaries are found.
+    auto postSweep = [&](std::vector<ThreadChunk> &st,
+                         WorkDeque::Group &group) {
         for (uint32_t t = 0; t < num_threads; ++t) {
-            ThreadChunk &tc = st.threads[t];
-            if (tc.recLo == tc.recHi)
+            ThreadChunk &tc = st[t];
+            const size_t n = tc.recHi - tc.recLo;
+            if (n == 0)
                 continue;
-            deque.post(group, [&sync_views, &opts, &profile, &eCursor,
-                               &carried, &tc, t] {
-                const WindowCols wc{{tc.data.op, tc.recLo},
-                                    {tc.data.pc, tc.recLo},
-                                    {tc.data.dep1, tc.recLo},
-                                    {tc.data.dep2, tc.recLo},
-                                    {tc.data.taken,
-                                     static_cast<size_t>(tc.brLo)}};
-                auto rd = [&tc](size_t memIdx,
-                                bool) -> std::pair<uint64_t, uint64_t> {
-                    return {tc.localRd[memIdx - tc.memLo],
-                            tc.globalRd[memIdx - tc.memLo]};
-                };
-                SegmentSweep seg =
-                    runSweepSegment(wc, sync_views[t], opts, eCursor[t],
-                                    rd, tc.recLo, tc.recHi);
-                eCursor[t] = seg.exit;
-                stitchSweepSegment(profile.threads[t], carried[t],
-                                   std::move(seg));
+            size_t numSegs = 1;
+            if (deque.jobs() > 1 && n >= 2 * kMinSegmentRecords) {
+                numSegs = std::min<size_t>(size_t{4} * deque.jobs(),
+                                           n / kMinSegmentRecords);
+            }
+            tc.sweeps.resize(numSegs);
+            deque.post(group, [&deque, &group, &sync_views, &opts,
+                               &eCursor, &tc, t, n, numSegs] {
+                const WindowCols wc = windowCols(tc);
+                SweepState entry = eCursor[t];
+                for (size_t s = 0; s < numSegs; ++s) {
+                    const size_t lo = tc.recLo + n * s / numSegs;
+                    const size_t hi = tc.recLo + n * (s + 1) / numSegs;
+                    deque.post(group, [&sync_views, &opts, &tc, t, s, lo,
+                                       hi, entry] {
+                        auto rd = [&tc](size_t memIdx, bool)
+                            -> std::pair<uint64_t, uint64_t> {
+                            const AccessRd &r = tc.rd[memIdx - tc.memLo];
+                            return {r.local, r.global};
+                        };
+                        tc.sweeps[s] =
+                            runSweepSegment(windowCols(tc), sync_views[t],
+                                            opts, entry, rd, lo, hi);
+                    });
+                    if (s + 1 < numSegs)
+                        advanceSweepCursor(wc, sync_views[t], opts, entry,
+                                           lo, hi);
+                }
+            });
+        }
+    };
+
+    // Stitch each thread's segments in record order (threads stitch
+    // concurrently): resolves cross-segment instruction reuse against
+    // the carried line map, splices partial epochs, and carries the
+    // last segment's exit cursor into the next chunk.
+    auto postStitch = [&](std::vector<ThreadChunk> &st,
+                          WorkDeque::Group &group) {
+        for (uint32_t t = 0; t < num_threads; ++t) {
+            ThreadChunk &tc = st[t];
+            if (tc.sweeps.empty())
+                continue;
+            deque.post(group, [&profile, &eCursor, &carried, &tc, t] {
+                eCursor[t] = tc.sweeps.back().exit;
+                for (SegmentSweep &seg : tc.sweeps) {
+                    stitchSweepSegment(profile.threads[t], carried[t],
+                                       std::move(seg));
+                }
             });
         }
     };
@@ -626,29 +711,38 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     //     shard tables) are enforced by the group waits.
     try {
         size_t k = 0;
-        if (advanceChunk(chunks[0]))
+        bool have = advanceChunk(chunks[0]);
+        if (have)
             postEmit(chunks[0], cGroup[0]);
-        while (chunks[k & 1].valid) {
-            ChunkState &cur = chunks[k & 1];
-            ChunkState &nxt = chunks[(k + 1) & 1];
+        while (have) {
+            std::vector<ThreadChunk> &cur = chunks[k & 1];
+            std::vector<ThreadChunk> &nxt = chunks[(k + 1) & 1];
             // The replay/scan of chunk k+1 touches only main-thread
             // state, so it runs under C(k)'s bucketing on the workers.
             const bool more = advanceChunk(nxt);
             deque.wait(cGroup[k & 1]);
             if (more)
                 postEmit(nxt, cGroup[(k + 1) & 1]);
-            postResolve(cur, dGroup);
-            deque.wait(dGroup);
-            postSweep(cur, eGroup);
-            deque.wait(eGroup);
-            cur = ChunkState{}; // release windows, buckets, rd arrays
+            postResolve(cur, stage);
+            deque.wait(stage);
+            // Free what phase D consumed before phase E allocates: the
+            // buckets, and after the last chunk the shard tables.
+            for (ThreadChunk &tc : cur)
+                tc.buckets = {};
+            if (!more)
+                shardLines.clear();
+            postSweep(cur, stage);
+            deque.wait(stage);
+            postStitch(cur, stage);
+            deque.wait(stage);
+            cur.clear(); // release windows, rd arrays
+            have = more;
             ++k;
         }
     } catch (...) {
         // Outstanding tasks capture this frame; drain every group
         // before unwinding it.
-        for (WorkDeque::Group *g :
-             {&cGroup[0], &cGroup[1], &dGroup, &eGroup}) {
+        for (WorkDeque::Group *g : {&cGroup[0], &cGroup[1], &stage}) {
             try {
                 deque.wait(*g);
             } catch (...) {
@@ -682,6 +776,13 @@ profileWorkloadStreaming(const ColumnarTrace &trace,
 {
     MemorySource src(trace);
     return streamProfile(src, opts);
+}
+
+WorkloadProfile
+profileWorkloadParallel(const ColumnarTrace &trace,
+                        const ProfilerOptions &opts)
+{
+    return profileWorkloadStreaming(trace, opts);
 }
 
 WorkloadProfile

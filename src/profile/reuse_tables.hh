@@ -1,22 +1,23 @@
 /**
  * @file
- * Open-addressing state tables shared by the fused and parallel
+ * Open-addressing state tables shared by the fused and streaming
  * profilers (internal header).
  *
  * The profiler's hot per-line and per-PC state lives in open-addressing
  * tables with flat storage instead of std::unordered_map nodes. The
  * fused single-pass sweep (profiler.cc) keeps one LineTable for the
- * whole interleaved replay; the parallel engine
- * (profiler_parallel.cc) keeps one per line-hash shard — the table
+ * whole interleaved replay; the multi-worker streaming engine
+ * (profiler_stream.cc) keeps one per line-hash shard — the table
  * layout and probing are identical, which is part of why the two
  * engines produce bit-identical profiles.
  *
  * Thread-safety contract: these tables are deliberately NOT internally
  * synchronized and carry no RPPM_GUARDED_BY annotations — each instance
  * is owned by exactly one thread at a time. The fused sweep owns its
- * table for the whole pass; the parallel engine assigns each shard's
- * table to exactly one phase-D worker (shard index = high mix64 bits of
- * the line key, so two workers can never reach the same table). Sharing
+ * table for the whole pass; the streaming engine assigns each shard's
+ * table to exactly one phase-D task per chunk (shard index = high mix64
+ * bits of the line key, so two workers can never reach the same table,
+ * and consecutive chunks' resolves are ordered by a barrier). Sharing
  * one table across threads is a bug; guard it with rppm::Mutex and
  * annotate if a future engine ever needs to.
  */
@@ -74,12 +75,16 @@ class LineTable
      *        table: distinct lines cannot exceed mem_ops, and empirically
      *        run well below half of it, so presizing to ~mem_ops/2 slots
      *        (bounded to keep degenerate traces cheap) avoids mid-sweep
-     *        rehashes of the whole table.
+     *        rehashes of the whole table. The floor is small because the
+     *        streaming engine keeps one table per shard alive for the
+     *        whole profile, and a slot costs ~(33 + 16 x threads) bytes:
+     *        a 2^16 floor alone pinned ~7 MB per shard at five threads.
+     *        Tables grow on demand past any presize.
      */
     LineTable(uint32_t num_threads, uint64_t mem_ops)
         : threads_(num_threads)
     {
-        uint64_t cap = uint64_t{1} << 16;
+        uint64_t cap = uint64_t{1} << 10;
         const uint64_t want = std::min<uint64_t>(mem_ops / 2,
                                                  uint64_t{1} << 20);
         while (cap < want)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Pausable round-robin schedule replayer (internal, shared by the
- * parallel and streaming engines).
+ * Pausable round-robin schedule replayer (internal, used by the
+ * multi-worker streaming engine).
  *
- * Phase B of the decomposed profilers: replay the fused sweep's
+ * Phase B of the decomposed profiler: replay the fused sweep's
  * round-robin quantum scheduler using only the sparse sync columns plus
  * a caller-supplied memory-count oracle. The loop structure mirrors
  * profileWorkloadFused() exactly — same quantum accounting, same step
@@ -12,11 +12,10 @@
  * is the exact global interleaving: for every run of micro-ops, the
  * global-sequence number its first memory access will receive.
  *
- * Unlike the original one-shot helper, the replayer is *pausable*: the
- * streaming engine advances it in chunk-sized slices, pausing between
- * quantum slices (never inside a run), so every emitted run lies
- * entirely within one chunk and chunk boundaries are exact run
- * boundaries. The parallel engine simply never pauses. Because the
+ * The replayer is *pausable*: the streaming engine advances it in
+ * chunk-sized slices, pausing between quantum slices (never inside a
+ * run), so every emitted run lies entirely within one chunk and chunk
+ * boundaries are exact run boundaries. Because the
  * replay state (cursors, SyncState, global sequence, step clock) is
  * carried across pauses, the schedule — and therefore the profile — is
  * invariant under the chunk size.
@@ -64,11 +63,9 @@ class ScheduleReplayer
      *        records [lo, hi) of thread tid. Ranges are queried in
      *        ascending, non-overlapping order per thread (they are the
      *        runs themselves), so rolling-scan implementations work.
-     * @param onRun onRun(tid, lo, hi, gseqBase, mem) for every run, in
-     *        schedule order; the run's memory accesses receive global
-     *        sequence numbers gseqBase+1 .. gseqBase+mem. Runs with
-     *        mem == 0 are reported too (callers tracking record
-     *        coverage need them; the parallel engine just filters).
+     * @param onRun onRun(tid, lo, hi, gseqBase, mem) for every run with
+     *        mem > 0 memory accesses, in schedule order; they receive
+     *        global sequence numbers gseqBase+1 .. gseqBase+mem.
      * @param pause checked before picking the next thread; return true
      *        to suspend. The replayer resumes exactly where it left off
      *        on the next advance() call.
@@ -124,7 +121,8 @@ class ScheduleReplayer
                     next_sync, ts.next + (opts_.quantum - executed));
                 const size_t run = run_end - ts.next;
                 const uint64_t mem = memCount(pick, ts.next, run_end);
-                onRun(pick, ts.next, run_end, globalSeq_, mem);
+                if (mem > 0)
+                    onRun(pick, ts.next, run_end, globalSeq_, mem);
                 globalSeq_ += mem;
                 ts.next = run_end;
                 step_ += run;

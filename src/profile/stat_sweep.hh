@@ -2,22 +2,20 @@
  * @file
  * The one statistics sweep shared by every profiler engine (internal).
  *
- * Historically the per-record statistics loop — instruction mix,
- * dependence distances, instruction-stream reuse, micro-trace sampling,
- * branch entropy, load gaps, pointer-chase detection — existed twice:
- * once in the fused engine's process_run (profiler.cc) and once in the
- * parallel engine's sweepThread (profiler_parallel.cc), differing only
- * in where the memory reuse distances come from. The streaming engine
- * would have made a third copy, so the loop now lives here exactly once,
- * templated on a *reuse-distance provider*:
+ * The per-record statistics loop — instruction mix, dependence
+ * distances, instruction-stream reuse, micro-trace sampling, branch
+ * entropy, load gaps, pointer-chase detection — lives here exactly once,
+ * templated on a *reuse-distance provider*, because the engines differ
+ * only in where the memory reuse distances come from:
  *
  *   provider(memIdx, isStore) -> {localRd, globalRd}
  *
- * The fused engine instantiates it with a live provider that probes the
- * global LineTable in replay order; the parallel and streaming engines
- * instantiate it with array readers over reuse distances pre-resolved by
- * their phase D. Everything else in the loop is shared, which is what
- * pins the engines byte-identical by construction.
+ * The fused engine (profiler.cc) instantiates it with a live provider
+ * that probes the global LineTable in replay order; the multi-worker
+ * streaming engine (profiler_stream.cc) instantiates it with array
+ * readers over reuse distances pre-resolved by its phase D. Everything
+ * else in the loop is shared, which is what pins the engines
+ * byte-identical by construction.
  *
  * On top of the shared run loop, this header provides the *segmented*
  * sweep used for finer-than-thread parallelism: a thread's record range
@@ -29,9 +27,9 @@
  * micro-trace windows left open at the boundary. Stitching is exact, not
  * approximate: histogram adds commute, so resolving a first touch after
  * the fact produces the same buckets the sequential sweep would have.
- * The parallel engine uses segments to scale phase E past the workload's
- * thread count; the streaming engine uses one segment per (chunk,
- * thread) with the cursor carried across chunks.
+ * The streaming engine splits each (chunk, thread) into segments to
+ * scale phase E past the workload's thread count, carrying the cursor
+ * and the InstrLineMap across chunks.
  */
 
 #ifndef RPPM_PROFILE_STAT_SWEEP_HH

@@ -180,8 +180,14 @@ RppmClient::evaluate(const Query &query,
             throw std::runtime_error(
                 "rppm server busy: gave up after " +
                 std::to_string(maxAttempts) + " attempts");
+        // delayMs << attempt, saturated at the cap: the shift is
+        // undefined from 64 on and wraps below the cap for large hints.
         uint64_t delayMs = retryAfterMs == 0 ? 1 : retryAfterMs;
-        delayMs = std::min<uint64_t>(backoff_.capMs, delayMs << attempt);
+        const uint64_t capMs = backoff_.capMs;
+        if (attempt >= 64 || delayMs > (capMs >> attempt))
+            delayMs = capMs;
+        else
+            delayMs <<= attempt;
         if (delayMs == 0)
             delayMs = 1;
         const uint64_t half = delayMs / 2;

@@ -10,7 +10,8 @@
  * held", "is the queue empty" — all order-determined); only release
  * *times* carry clock values. That makes the whole global interleaving
  * replayable from the sparse sync columns alone, exactly like the
- * parallel profiler (profile/profiler_parallel.cc), and the engine
+ * multi-worker profiler's schedule replay (profile/profiler_stream.cc,
+ * profile/schedule_replay.hh), and the engine
  * decomposes into phases whose parallel grains are independent by
  * construction:
  *

@@ -18,8 +18,8 @@ namespace rppm {
  * and never written again; std::call_once makes the completed write
  * visible to every subsequent caller, after which reads are lock-free.
  * With profile and trace-build of *distinct* workloads overlapping
- * inside one Study — and the parallel profiler's own pool reading the
- * columnar view from several threads — this is what keeps the source
+ * inside one Study — and the multi-worker profiler's own pool reading
+ * the columnar view from several threads — this is what keeps the source
  * data-race-free without serializing readers behind a mutex
  * (tests/test_profile_parallel.cc hammers it under TSan).
  */

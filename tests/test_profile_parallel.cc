@@ -1,16 +1,16 @@
 /**
  * @file
- * Differential tests for the parallel epoch-sharded profiler.
+ * Tests for the multi-worker profiling plumbing around the engines.
  *
- * The contract under test is absolute: profileWorkloadParallel() must
- * produce a profile *bit-identical* to the fused single-pass sweep —
- * same histograms, same micro-traces, same epoch structure, same
- * synchronization classification — for every job count, on every kernel
- * of the workload suite, under custom profiler options, and through the
- * ProfileCache (same key, same serialized bytes, regardless of how many
- * profile workers produced the artifact). Equality is asserted through
- * the deterministic text serializer, the same oracle the fused-vs-legacy
- * tests use.
+ * profileWorkload() routes jobs == 1 with no chunk size to the fused
+ * sweep and everything else to the chunked multi-worker engine; the
+ * routing must be invisible in the output. The job count must stay out
+ * of the ProfileCache (same key, same serialized bytes, regardless of
+ * how many profile workers produced the artifact); parallel trace
+ * synthesis must not change the trace; and WorkloadSource's
+ * immutable-after-publish views must survive a concurrent hammer.
+ * Engine equivalence itself — every kernel, chunk size, job count and
+ * content-shaping option — is tests/test_profile_streaming.cc's matrix.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "study/profile_cache.hh"
 #include "study/source.hh"
 #include "trace/columnar.hh"
-#include "workload/suite.hh"
 #include "workload/workload.hh"
 
 namespace rppm {
@@ -48,19 +47,6 @@ serializeProfileBinary(const WorkloadProfile &profile)
     return ss.str();
 }
 
-/** Suite spec scaled down so 26 kernels x several job counts stay fast;
- *  all synchronization structure is preserved. */
-WorkloadSpec
-scaledSpec(const SuiteEntry &entry, uint64_t divisor = 20)
-{
-    WorkloadSpec spec = entry.spec;
-    spec.opsPerEpoch = std::max<uint64_t>(1, spec.opsPerEpoch / divisor);
-    spec.initOps = std::max<uint64_t>(1, spec.initOps / divisor);
-    spec.finalOps = std::max<uint64_t>(1, spec.finalOps / divisor);
-    spec.itemOps = std::max<uint64_t>(1, spec.itemOps / divisor);
-    return spec;
-}
-
 /** A structurally rich workload: barriers, critical sections, a
  *  producer-consumer queue, shared data, coherence traffic. */
 WorkloadSpec
@@ -75,82 +61,28 @@ richSpec(const char *name = "par-test")
     return spec;
 }
 
-const unsigned kJobCounts[] = {1, 2, 4, 7};
-
-TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
-{
-    // The tentpole guarantee: on all 26 suite kernels, the parallel
-    // engine's profile serializes byte-for-byte identically to the
-    // fused sweep's, for every tested job count (including the serial
-    // execution of the sharded engine itself, jobs = 1).
-    for (const SuiteEntry &entry : fullSuite()) {
-        const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols));
-        for (const unsigned jobs : kJobCounts) {
-            ProfilerOptions opts;
-            opts.jobs = jobs;
-            // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would
-            // try to print two multi-hundred-kB strings.
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadParallel(cols, opts)) == fused)
-                << spec.name << " jobs=" << jobs;
-        }
-    }
-}
-
-TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
-{
-    // Options that change profile *content* (sampling policy, quantum,
-    // coherence detection) must keep parallel == fused at every job
-    // count: the schedule replay honors the quantum, the sharded
-    // resolution honors detectInvalidation, the sweep honors the
-    // sampling windows.
-    ProfilerOptions base;
-    base.quantum = 17;
-    base.microTraceLength = 64;
-    base.microTraceInterval = 500;
-
-    ProfilerOptions noInval = base;
-    noInval.detectInvalidation = false;
-
-    ProfilerOptions bigLines = base;
-    bigLines.lineBytes = 256;
-
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
-    for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols, proto));
-        for (const unsigned jobs : kJobCounts) {
-            ProfilerOptions opts = proto;
-            opts.jobs = jobs;
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadParallel(cols, opts)) == fused)
-                << "quantum=" << opts.quantum << " inv="
-                << opts.detectInvalidation << " lb=" << opts.lineBytes
-                << " jobs=" << jobs;
-        }
-    }
-}
-
 TEST(ParallelProfiler, DispatchRoutesOnJobs)
 {
+    // profileWorkload runs the fused sweep only for jobs == 1 with no
+    // chunk size; more workers, all hardware threads (jobs = 0), or an
+    // explicit chunk size at any job count run the chunked multi-worker
+    // engine instead — and every route must produce the fused bytes.
     const ColumnarTrace cols =
         ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
-    ProfilerOptions par;
-    par.jobs = 4;
-    // profileWorkload with jobs != 1 routes to the parallel engine and
-    // must still match the default fused output bit for bit.
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, par)) ==
-                serializeProfileText(profileWorkload(cols)));
-    // jobs = 0 means "all hardware threads" and must be equivalent too.
-    ProfilerOptions all;
-    all.jobs = 0;
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, all)) ==
-                serializeProfileText(profileWorkload(cols)));
+    const std::string fused =
+        serializeProfileText(profileWorkloadFused(cols));
+    for (const unsigned jobs : {1u, 4u, 0u}) {
+        for (const uint64_t chunk : {uint64_t{0}, uint64_t{2048}}) {
+            ProfilerOptions opts;
+            opts.jobs = jobs;
+            opts.streamChunkRecords = chunk;
+            // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would
+            // try to print two multi-hundred-kB strings.
+            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                        fused)
+                << "jobs=" << jobs << " chunk=" << chunk;
+        }
+    }
 }
 
 TEST(ParallelProfiler, JobsStayOutOfTheCacheKey)
@@ -230,30 +162,6 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
 
     std::filesystem::remove_all(dir);
     std::filesystem::remove_all(dir2);
-}
-
-TEST(ParallelProfiler, SingleThreadedWorkload)
-{
-    // Degenerate shape: one thread, no synchronization except the built-in
-    // create/join scaffolding; the schedule replay and sharded resolution
-    // must still agree with the fused sweep exactly.
-    WorkloadSpec spec;
-    spec.name = "single";
-    spec.numWorkers = 1;
-    spec.mainWorks = false;
-    spec.numEpochs = 3;
-    spec.opsPerEpoch = 4000;
-    spec.barrierFlavor = BarrierFlavor::None;
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
-    const std::string fused = serializeProfileText(profileWorkloadFused(cols));
-    for (const unsigned jobs : kJobCounts) {
-        ProfilerOptions opts;
-        opts.jobs = jobs;
-        EXPECT_TRUE(serializeProfileText(
-                        profileWorkloadParallel(cols, opts)) == fused)
-            << "jobs=" << jobs;
-    }
 }
 
 TEST(ParallelTraceSynthesis, JobCountDoesNotChangeTheTrace)

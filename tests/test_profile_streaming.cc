@@ -1,17 +1,18 @@
 /**
  * @file
- * Differential tests for the out-of-core streaming profiler.
+ * Differential tests for the multi-worker streaming profiler.
  *
- * The contract under test is the same absolute one the parallel engine
- * carries: profileWorkloadStreaming() — and its file-backed variant,
- * which never materializes the trace — must produce a profile
- * *bit-identical* to the fused single-pass sweep for every chunk size
- * and every job count, on every kernel of the workload suite. Equality
- * is asserted through the deterministic text serializer. On top of the
- * identity sweep: structural rejection of truncated/corrupt trace
- * files at every prefix length, checksum rejection of a flipped payload
- * byte in every streamed data column, chunk-size exclusion from the
- * profile cache key, and artifact identity across all three engines.
+ * The contract under test is absolute: profileWorkloadStreaming() — and
+ * its file-backed variant, which never materializes the trace — must
+ * produce a profile *bit-identical* to the fused single-pass sweep for
+ * every chunk size and every job count, on every kernel of the workload
+ * suite, under custom profiler options, and with chunks split into
+ * concurrently swept segments. Equality is asserted through the
+ * deterministic text serializer. On top of the identity sweep:
+ * structural rejection of truncated/corrupt trace files at every prefix
+ * length, checksum rejection of a flipped payload byte in every
+ * streamed data column, chunk-size exclusion from the profile cache
+ * key, and artifact identity across engines.
  */
 
 #include <gtest/gtest.h>
@@ -72,10 +73,14 @@ richSpec(const char *name = "stream-test")
 }
 
 /** Chunk targets: degenerate (every chunk is a single quantum slice),
- *  small (thousands of chunks on suite kernels), and larger than any
- *  test trace (the whole trace is one chunk). */
-const uint64_t kChunkSizes[] = {1, 4096, uint64_t{1} << 30};
-const unsigned kJobCounts[] = {1, 2, 4};
+ *  small (thousands of chunks on suite kernels, too short to split into
+ *  sweep segments), 3 x 4096 + 17 (with jobs > 1 every chunk splits into
+ *  segments whose edges fall at no fixed offset of the thread), and
+ *  larger than any test trace (the whole trace is one segmented chunk,
+ *  which is what profileWorkload() runs for jobs > 1). */
+const uint64_t kChunkSizes[] = {1, 4096, 12305, uint64_t{1} << 30};
+/** Serial, two even worker counts, and an odd one. */
+const unsigned kJobCounts[] = {1, 2, 4, 7};
 
 class TempTraceFile
 {
@@ -151,8 +156,10 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
 TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
 {
     // Content-shaping options (sampling policy, quantum, coherence
-    // detection, line size) must keep streaming == fused for small
-    // chunks, where every epoch spans many chunk stitches.
+    // detection, line size) must keep streaming == fused at every chunk
+    // size and job count: the schedule replay honors the quantum, the
+    // sharded resolution honors detectInvalidation, the segmented sweep
+    // honors the sampling windows across every stitch.
     ProfilerOptions base;
     base.quantum = 17;
     base.microTraceLength = 64;
@@ -169,37 +176,26 @@ TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
     for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
         const std::string fused =
             serializeProfileText(profileWorkloadFused(cols, proto));
-        for (const uint64_t chunk : {uint64_t{1}, uint64_t{4096}}) {
-            ProfilerOptions opts = proto;
-            opts.streamChunkRecords = chunk;
-            opts.jobs = 3;
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadStreaming(cols, opts)) == fused)
-                << "quantum=" << opts.quantum << " inv="
-                << opts.detectInvalidation << " lb=" << opts.lineBytes
-                << " chunk=" << chunk;
+        for (const uint64_t chunk : kChunkSizes) {
+            for (const unsigned jobs : kJobCounts) {
+                ProfilerOptions opts = proto;
+                opts.streamChunkRecords = chunk;
+                opts.jobs = jobs;
+                EXPECT_TRUE(serializeProfileText(profileWorkloadStreaming(
+                                cols, opts)) == fused)
+                    << "quantum=" << opts.quantum << " inv="
+                    << opts.detectInvalidation << " lb=" << opts.lineBytes
+                    << " chunk=" << chunk << " jobs=" << jobs;
+            }
         }
     }
-}
-
-TEST(StreamingProfiler, DispatchRoutesOnStreamChunkRecords)
-{
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
-    ProfilerOptions stream;
-    stream.streamChunkRecords = 2048;
-    stream.jobs = 4;
-    // profileWorkload with streamChunkRecords > 0 routes to the
-    // streaming engine and must still match the default fused output.
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, stream)) ==
-                serializeProfileText(profileWorkload(cols)));
 }
 
 TEST(StreamingProfiler, SingleThreadedWorkload)
 {
     // Degenerate shape: one thread, no synchronization beyond the
-    // create/join scaffolding — every chunk edge is a bare quantum
-    // boundary inside one long epoch.
+    // create/join scaffolding — every chunk and segment edge is a bare
+    // quantum boundary inside one long epoch.
     WorkloadSpec spec;
     spec.name = "single";
     spec.numWorkers = 1;
@@ -212,12 +208,14 @@ TEST(StreamingProfiler, SingleThreadedWorkload)
     const std::string fused =
         serializeProfileText(profileWorkloadFused(cols));
     for (const uint64_t chunk : kChunkSizes) {
-        ProfilerOptions opts;
-        opts.streamChunkRecords = chunk;
-        opts.jobs = 2;
-        EXPECT_TRUE(serializeProfileText(
-                        profileWorkloadStreaming(cols, opts)) == fused)
-            << "chunk=" << chunk;
+        for (const unsigned jobs : kJobCounts) {
+            ProfilerOptions opts;
+            opts.streamChunkRecords = chunk;
+            opts.jobs = jobs;
+            EXPECT_TRUE(serializeProfileText(
+                            profileWorkloadStreaming(cols, opts)) == fused)
+                << "chunk=" << chunk << " jobs=" << jobs;
+        }
     }
 }
 

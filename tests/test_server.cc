@@ -570,6 +570,40 @@ TEST(Server, StopDrainsAdmittedRequests)
     client.close();
 }
 
+TEST(Server, BackoffSaturatesPastSixtyFourAttempts)
+{
+    // Two cells never fit a one-cell admission bound, so every attempt
+    // is shed. From attempt 64 on, an unsaturated "delay << attempt"
+    // would shift a 64-bit value by its width (undefined; trapped by the
+    // sanitizer build), so the client must clamp to its cap and keep
+    // retrying until the attempt budget runs out.
+    ServerOptions opts;
+    opts.socketPath = socketPathFor("backoff");
+    opts.maxQueuedCells = 1;
+    RppmServer server(opts);
+    server.start();
+
+    RppmClient client;
+    client.connect(opts.socketPath);
+    client.setBackoff({/*maxAttempts=*/70, /*capMs=*/1, /*seed=*/1});
+    Query query;
+    query.workload = "backprop";
+    query.profiler = lightProfiler();
+    query.configs = {baseConfig(), tableIvConfigs().front()};
+    try {
+        client.evaluate(query);
+        ADD_FAILURE() << "a 2-cell request was admitted past a 1-cell bound";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("gave up after 70 attempts"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(server.stats().shed, 70u);
+
+    client.close();
+    server.stop();
+}
+
 } // namespace
 } // namespace server
 } // namespace rppm
