@@ -3,22 +3,18 @@
  * Generic open-addressing hash table with lazy-zero values.
  *
  * Extracted from the profiler's SeqTable (profile/reuse_tables.hh) so the
- * simulator's per-line coherence directory can share the exact layout and
- * probing discipline: flat key/value arrays, keys stored as key+1 with 0
- * meaning "empty" (line numbers are addr / lineBytes < 2^58, so +1 never
- * wraps), mix64 probing, linear open addressing and growth at 70%
- * occupancy. Values are value-initialized on first insert only — the
- * value store is default-initialized (left raw for trivial V), so
- * construction, reserve() and growth only ever memset the key array.
- * Callers that know an upper bound on the distinct-key count (the
- * simulator's directory knows the trace's memory-access count) should
- * reserve() it up front: a near-full table rehashes its entire contents
- * on every doubling, which dominates streaming workloads where almost
- * every key is fresh.
+ * simulator's coherence directory can share the exact layout and probing
+ * discipline: flat key/value arrays, keys stored as key+1 with 0 meaning
+ * "empty" (keys are line or block numbers < 2^58, so +1 never wraps),
+ * mix64 probing, linear open addressing and growth at 70% occupancy.
+ * Values are value-initialized on first insert only — the value store is
+ * default-initialized (left raw for trivial V), so construction and
+ * growth only ever memset the key array.
  *
  * Thread-safety contract: not internally synchronized; each instance is
  * owned by exactly one thread at a time (the profiler assigns one table
- * per shard worker, the simulator one directory per hierarchy replica).
+ * per shard worker, the simulator one directory index per hierarchy
+ * replica).
  */
 
 #ifndef RPPM_COMMON_OPEN_TABLE_HH
@@ -70,36 +66,6 @@ class OpenTable
             }
             i = (i + 1) & mask_;
         }
-    }
-
-    /**
-     * Software-prefetch the probe window of a future lookup(key). No
-     * observable effect on table state — callers with a known upcoming
-     * key stream hide the (usually DRAM-bound) probe latency.
-     */
-    void
-    prefetch(uint64_t key_in) const
-    {
-        const size_t i =
-            static_cast<size_t>(mix64(key_in + 1)) & mask_;
-        __builtin_prefetch(&keys_[i]);
-        __builtin_prefetch(&vals_[i]);
-    }
-
-    /**
-     * Pre-size the backing store so @p expected distinct keys fit
-     * without crossing the 70% growth threshold. Only ever enlarges;
-     * existing entries are kept. Call before a fill whose key count has
-     * a known upper bound to avoid rehash-on-doubling entirely.
-     */
-    void
-    reserve(size_t expected)
-    {
-        size_t want = size_t{1} << 8;
-        while ((expected + 1) * 10 >= want * 7)
-            want *= 2;
-        if (want > cap_)
-            grow(want);
     }
 
     size_t size() const { return size_; }

@@ -3,19 +3,19 @@
  * Compact set-associative cache replica for the simulator's hot engines.
  *
  * Functionally identical to cache/cache.hh's Cache — the same hit/miss
- * outcomes, the same victim selection (first invalid way, else true
- * LRU), the same statistics — restructured for the simulator's access
- * rate:
+ * outcomes, the same set contents after every call, the same statistics
+ * — restructured for the simulator's access rate:
  *
- *  - SoA layout: one contiguous tag array and one LRU-stamp array
- *    instead of 24-byte Way structs, so a probe touches one cache line
- *    of tags instead of striding through padding.
- *  - The valid and dirty bits are gone. Validity is encoded as LRU
- *    stamp 0 (the pre-incremented clock never assigns 0 to a live way,
- *    and invalidation resets the stamp), which keeps the probe loop to
- *    two parallel array reads. The dirty bit of the legacy Cache is
- *    write-only state — no writeback is modeled and nothing ever reads
- *    it back — so dropping it changes no observable behavior.
+ *  - Tag-only, recency-ordered sets. Each set is `assoc` contiguous
+ *    64-bit tags kept most-recently-used first, with invalid ways as an
+ *    all-ones sentinel at the tail (a real tag is a line number divided
+ *    by the set count, far below 2^64 - 1). There is no LRU-stamp array
+ *    and no clock: an 8-way set is one 64-byte host line and a 16-way
+ *    set two. A hit moves the tag to the front, a miss shifts the set
+ *    down one way and inserts at the front (dropping the tail), and an
+ *    invalidation removes the tag and appends a sentinel.
+ *  - The dirty bit of the legacy Cache is gone: no writeback is modeled
+ *    and nothing ever reads it back, so it is unobservable state.
  *  - Set index and tag use shift/mask when the geometry is a power of
  *    two (the common case) instead of 64-bit division, with an exact
  *    division fallback otherwise. Callers that already know the line
@@ -24,13 +24,16 @@
  *    MulticoreConfig::validate() enforces) use the *Line entry points
  *    and skip the address-to-line division entirely.
  *
- * Equivalence of the victim policy: the legacy loop prefers the first
- * invalid way and otherwise the strictly smallest LRU stamp in way
- * order; here `victim` only ever moves to an invalid way (stamp 0,
- * where it then sticks) or to a strictly smaller stamp, which is the
- * same choice because live stamps are distinct.
- * tests/test_sim_parallel.cc pins the equivalence on the whole workload
- * suite through the byte-identity of the simulator engines.
+ * Equivalence of the replacement policy: the legacy cache evicts the
+ * first invalid way, else the way with the smallest LRU stamp. Here the
+ * tail of a set is an invalid way whenever one exists and the
+ * least-recently-used line otherwise, so the line dropped on a miss is
+ * the one the legacy rule evicts, and set contents (and their recency
+ * order) evolve identically. Which physical way holds a line is never
+ * observable. tests/test_cache.cc checks this call by call against
+ * Cache on random access/invalidate streams; tests/test_sim_parallel.cc
+ * pins it on the whole workload suite through the byte-identity of the
+ * simulator engines.
  */
 
 #ifndef RPPM_SIM_SIM_CACHE_HH
@@ -55,8 +58,7 @@ class SimCache
         : cfg_(cfg), numSets_(cfg.numSets()), assoc_(cfg.assoc)
     {
         RPPM_REQUIRE(numSets_ > 0, "cache must have at least one set");
-        tags_.resize(static_cast<size_t>(numSets_) * assoc_);
-        lru_.resize(static_cast<size_t>(numSets_) * assoc_);
+        tags_.assign(static_cast<size_t>(numSets_) * assoc_, kInvalid);
         lineShift_ = std::has_single_bit(cfg_.lineBytes) ?
             static_cast<uint32_t>(std::countr_zero(cfg_.lineBytes)) :
             kNoShift;
@@ -81,22 +83,23 @@ class SimCache
         size_t set;
         uint64_t tag;
         split(line, set, tag);
-        uint64_t *tags = &tags_[set * assoc_];
-        uint64_t *lru = &lru_[set * assoc_];
-        uint32_t victim = 0;
+        // One pass moves the tag to the front: every way before the
+        // match (or before the first invalid way, or the whole set on a
+        // full miss) shifts down by one, and the slot it vacates is
+        // overwritten — the matched tag, the consumed sentinel or the
+        // least-recently-used line.
+        uint64_t *ways = &tags_[set * assoc_];
+        uint64_t carry = tag;
         for (uint32_t w = 0; w < assoc_; ++w) {
-            if (lru[w] != 0 && tags[w] == tag) {
-                lru[w] = ++lruClock_;
+            const uint64_t cur = ways[w];
+            ways[w] = carry;
+            if (cur == tag)
                 return true;
-            }
-            if (lru[victim] != 0 &&
-                (lru[w] == 0 || lru[w] < lru[victim])) {
-                victim = w;
-            }
+            if (cur == kInvalid)
+                break;
+            carry = cur;
         }
         ++stats_.misses;
-        tags[victim] = tag;
-        lru[victim] = ++lruClock_;
         return false;
     }
 
@@ -107,22 +110,6 @@ class SimCache
         return accessLine(lineOf(addr), is_write);
     }
 
-    /**
-     * Software-prefetch the tag/LRU rows a future accessLine(line) will
-     * probe. No architectural effect — pure latency hiding for callers
-     * that know their access stream ahead of time (the columnar engines
-     * read addresses straight out of the trace's addr column).
-     */
-    void
-    prefetchLine(uint64_t line) const
-    {
-        size_t set;
-        uint64_t tag;
-        split(line, set, tag);
-        __builtin_prefetch(&tags_[set * assoc_]);
-        __builtin_prefetch(&lru_[set * assoc_]);
-    }
-
     /** As Cache::invalidate, taking the precomputed line number. */
     bool
     invalidateLine(uint64_t line)
@@ -130,11 +117,14 @@ class SimCache
         size_t set;
         uint64_t tag;
         split(line, set, tag);
-        uint64_t *tags = &tags_[set * assoc_];
-        uint64_t *lru = &lru_[set * assoc_];
+        uint64_t *ways = &tags_[set * assoc_];
         for (uint32_t w = 0; w < assoc_; ++w) {
-            if (lru[w] != 0 && tags[w] == tag) {
-                lru[w] = 0;
+            if (ways[w] == kInvalid)
+                return false;
+            if (ways[w] == tag) {
+                for (; w + 1 < assoc_; ++w)
+                    ways[w] = ways[w + 1];
+                ways[assoc_ - 1] = kInvalid;
                 ++stats_.invalidations;
                 return true;
             }
@@ -147,6 +137,8 @@ class SimCache
 
   private:
     static constexpr uint32_t kNoShift = UINT32_MAX;
+    /** Tag of an invalid way; sorts every such way to the set's tail. */
+    static constexpr uint64_t kInvalid = ~uint64_t{0};
 
     void
     split(uint64_t line, size_t &set, uint64_t &tag) const
@@ -165,9 +157,8 @@ class SimCache
     uint32_t assoc_;
     uint32_t lineShift_ = kNoShift;
     uint32_t setShift_ = kNoShift;
+    /// numSets x assoc tags, each set most-recently-used first
     std::vector<uint64_t> tags_;
-    std::vector<uint64_t> lru_; ///< recency stamp; 0 = way invalid
-    uint64_t lruClock_ = 0;
     CacheStats stats_;
 };
 

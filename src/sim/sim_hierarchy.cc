@@ -7,13 +7,13 @@
 
 namespace rppm {
 
-SimHierarchy::SimHierarchy(const MulticoreConfig &cfg,
-                           uint64_t expected_lines)
-    : cfg_(cfg), stats_(cfg.numCores()), wide_(cfg.numCores() > 64)
+SimHierarchy::SimHierarchy(const MulticoreConfig &cfg, uint32_t dir_key_shift)
+    : cfg_(cfg), stats_(cfg.numCores()), dirKeyShift_(dir_key_shift),
+      wide_(cfg.numCores() > kMaskCores),
+      sharerMask_(wide_ ? 0 : (uint64_t{1} << kMaskCores) - 1),
+      writerShift_(wide_ ? 0 : kMaskCores)
 {
     cfg_.validate();
-    if (expected_lines > 0)
-        dir_.reserve(static_cast<size_t>(expected_lines));
     l1i_.reserve(cfg_.numCores());
     l1d_.reserve(cfg_.numCores());
     l2_.reserve(cfg_.numCores());
@@ -24,6 +24,20 @@ SimHierarchy::SimHierarchy(const MulticoreConfig &cfg,
         l2_.emplace_back(core.l2);
     }
     llc_ = std::make_unique<SimCache>(cfg_.llc);
+}
+
+uint64_t &
+SimHierarchy::dirEntry(uint64_t line)
+{
+    const uint64_t key = line >> dirKeyShift_;
+    bool inserted = false;
+    uint32_t &block = dirBlocks_.lookup(key >> kBlockShift, inserted);
+    if (inserted) {
+        block = static_cast<uint32_t>(dirPool_.size() >> kBlockShift);
+        dirPool_.resize(dirPool_.size() + kBlockLines, 0);
+    }
+    const uint64_t first = uint64_t{block} << kBlockShift;
+    return dirPool_[first | (key & (kBlockLines - 1))];
 }
 
 void
@@ -101,21 +115,19 @@ SimHierarchy::dataAccess(uint32_t core, uint64_t addr, bool is_write,
         }
         ++st.l1dMisses;
 
-        bool inserted = false;
-        DirEntry &e = dir_.lookup(line, inserted);
+        uint64_t &e = dirEntry(line);
         if (!wide_)
-            e.sharers |= uint64_t{1} << core;
+            e |= uint64_t{1} << core;
         // Classify before we touch lower levels: if another core wrote
         // this line since our last access, the private-cache miss is a
         // coherence miss (the copy we once had was invalidated).
-        const bool remote_written =
-            e.lastWriter != 0 && e.lastWriter != core + 1;
+        const uint64_t writer = writerOf(e);
+        const bool remote_written = writer != 0 && writer != core + 1;
         lowerWalk(core, line, false, remote_written, now, result);
         return result;
     }
 
-    bool inserted = false;
-    DirEntry &e = dir_.lookup(line, inserted);
+    uint64_t &e = dirEntry(line);
 
     // A write must invalidate every remote private copy before this core
     // can own the line. The sharer mask is a superset of the cores that
@@ -132,7 +144,7 @@ SimHierarchy::dataAccess(uint32_t core, uint64_t addr, bool is_write,
                 ++stats_[c].invalidationsReceived;
         }
     } else {
-        uint64_t others = e.sharers & ~(uint64_t{1} << core);
+        uint64_t others = e & sharerMask_ & ~(uint64_t{1} << core);
         while (others != 0) {
             const uint32_t c = static_cast<uint32_t>(
                 std::countr_zero(others));
@@ -142,22 +154,22 @@ SimHierarchy::dataAccess(uint32_t core, uint64_t addr, bool is_write,
             if (inv)
                 ++stats_[c].invalidationsReceived;
         }
-        e.sharers = uint64_t{1} << core;
+        e = (e & ~sharerMask_) | (uint64_t{1} << core);
     }
 
     ++st.l1dAccesses;
     if (l1d_[core].accessLine(line, true)) {
         result.level = HitLevel::L1;
         result.latency = cc.l1d.latency;
-        e.lastWriter = core + 1;
+        e = withWriter(e, core);
         return result;
     }
     ++st.l1dMisses;
 
-    const bool remote_written =
-        e.lastWriter != 0 && e.lastWriter != core + 1;
+    const uint64_t writer = writerOf(e);
+    const bool remote_written = writer != 0 && writer != core + 1;
     lowerWalk(core, line, true, remote_written, now, result);
-    e.lastWriter = core + 1;
+    e = withWriter(e, core);
     return result;
 }
 
@@ -181,11 +193,8 @@ SimHierarchy::instrMissFill(uint32_t core, uint64_t pc)
     const uint64_t line = llc_->lineOf(pc);
     // The fill allocates into this core's private L2, which a later
     // remote write must be able to invalidate: record the sharer bit.
-    if (!wide_) {
-        bool inserted = false;
-        DirEntry &e = dir_.lookup(line, inserted);
-        e.sharers |= uint64_t{1} << core;
-    }
+    if (!wide_)
+        dirEntry(line) |= uint64_t{1} << core;
     if (l2_[core].accessLine(line, false))
         return cc.l2.latency;
     if (llc_->accessLine(line, false))

@@ -26,14 +26,6 @@ namespace rppm {
 namespace {
 
 /**
- * How many memory records ahead of the execution point the engines
- * software-prefetch the hierarchy's table rows. Far enough to cover a
- * DRAM round trip under the work between two memory ops, near enough
- * that the prefetched rows are still resident when reached.
- */
-constexpr size_t kPrefetchDistance = 8;
-
-/**
  * Binds a SimHierarchy to one core for the CoreModel memory interface.
  * A concrete (non-virtual) type: the engine instantiates CoreModelT on
  * it so every data access and instruction fetch is a direct call.
@@ -41,20 +33,13 @@ constexpr size_t kPrefetchDistance = 8;
 class SimMemoryAdapter
 {
   public:
-    SimMemoryAdapter(SimHierarchy &hier, const ColumnCursor &cur,
-                     uint32_t core)
-        : hier_(hier), cur_(cur), core_(core)
+    SimMemoryAdapter(SimHierarchy &hier, uint32_t core)
+        : hier_(hier), core_(core)
     {}
 
     AccessResult
     dataAccess(uint64_t addr, bool is_write, double now)
     {
-        // The cursor still points at the record being executed, so this
-        // reaches kPrefetchDistance memory records past it (and a line
-        // number of 0 once the column runs out — a harmless touch of
-        // resident rows). Prefetch has no architectural effect, so the
-        // byte-identity with the other engines is untouched.
-        hier_.prefetchData(core_, cur_.peekAddr(kPrefetchDistance));
         return hier_.dataAccess(core_, addr, is_write, now);
     }
 
@@ -66,7 +51,6 @@ class SimMemoryAdapter
 
   private:
     SimHierarchy &hier_;
-    const ColumnCursor &cur_;
     uint32_t core_;
 };
 
@@ -83,13 +67,7 @@ simulateColumnarSequential(const ColumnarTrace &trace,
 
     const MulticoreConfig hier_cfg =
         sim_detail::expandedHierConfig(cfg, num_threads);
-    // The data-access count bounds the distinct-line count; pre-sizing
-    // the coherence directory avoids rehash-on-doubling on streaming
-    // traces where nearly every access touches a fresh line.
-    uint64_t data_accesses = 0;
-    for (const ThreadColumns &cols : trace.threads)
-        data_accesses += cols.addr.size();
-    SimHierarchy hierarchy(hier_cfg, data_accesses);
+    SimHierarchy hierarchy(hier_cfg);
 
     std::vector<double> scale(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
@@ -112,8 +90,7 @@ simulateColumnarSequential(const ColumnarTrace &trace,
     std::vector<std::unique_ptr<ColumnarCore>> cores;
     for (uint32_t t = 0; t < num_threads; ++t) {
         const CoreConfig &tc = cfg.threadCore(t);
-        mems.push_back(std::make_unique<SimMemoryAdapter>(
-            hierarchy, cursors[t].cur, t));
+        mems.push_back(std::make_unique<SimMemoryAdapter>(hierarchy, t));
         preds.push_back(std::make_unique<TournamentPredictor>(tc.branch));
         branch_adapters.push_back(
             std::make_unique<sim_detail::BranchAdapter>(*preds[t]));

@@ -57,6 +57,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -425,16 +426,17 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
         missStalls[t].resize(missRecIdx[t].size());
     }
     std::vector<std::unique_ptr<SimHierarchy>> shardHiers(num_shards);
+    // Every line of a shard carries the shard index in its low bits; the
+    // replica's directory keys on the bits above them.
+    const auto shard_bits =
+        static_cast<uint32_t>(std::countr_zero(num_shards));
     pool.forEach(num_shards, [&](size_t s) {
         uint64_t shard_total = 0;
         for (uint32_t t = 0; t < num_threads; ++t)
             shard_total += buckets[t][s].size();
         if (shard_total == 0)
             return;
-        // shard_total counts this shard's hierarchy operations — an
-        // upper bound on its distinct lines, pre-sizing the directory.
-        shardHiers[s] = std::make_unique<SimHierarchy>(hier_cfg,
-                                                       shard_total);
+        shardHiers[s] = std::make_unique<SimHierarchy>(hier_cfg, shard_bits);
         SimHierarchy &hier = *shardHiers[s];
 
         // Deterministic merge of the per-thread entry lists by global
@@ -453,11 +455,6 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
                 }
             }
             const ReplayEntry &e = buckets[tid][s][at[tid]++];
-            // Software-prefetch a few entries down the winning thread's
-            // list — the likeliest near-future probes of this shard's
-            // replica. No architectural effect.
-            if (at[tid] + 7 < buckets[tid][s].size())
-                hier.prefetchData(tid, buckets[tid][s][at[tid] + 7].addr);
             if (e.kind == kFetchFill) {
                 missStalls[tid][e.ordinal] =
                     hier.instrMissFill(tid, e.addr);

@@ -279,11 +279,9 @@ class CoreModelT
         lastRetire_ = t;
         dispatchCycle_ = std::max(dispatchCycle_, t);
         dispatchedInCycle_ = 0;
-        // The window drains while blocked: all in-flight state resolves
-        // by t.
-        for (auto &fus : fuFree_)
-            for (double &f : fus)
-                f = std::max(f, 0.0); // FUs are free once we resume
+        // Nothing else needs draining: FU, MSHR and completion times are
+        // absolute cycles, so whatever finished before t is already free
+        // to the ops dispatched from t on.
     }
 
     /**

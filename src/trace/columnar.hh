@@ -117,19 +117,6 @@ class ColumnCursor
     SyncType syncType() const { return cols_->syncType[syncIdx_]; }
     uint32_t syncArg() const { return cols_->syncArg[syncIdx_]; }
 
-    /**
-     * Address of the @p k-th memory record at or after index(), or 0
-     * when fewer remain. Lookahead for software prefetch: the sparse
-     * addr column lists upcoming data addresses contiguously, something
-     * the AoS record stream cannot offer without scanning.
-     */
-    uint64_t
-    peekAddr(size_t k) const
-    {
-        const size_t j = memIdx_ + k;
-        return j < cols_->addr.size() ? cols_->addr[j] : 0;
-    }
-
     /** Advance past the current record, maintaining the sparse cursors. */
     void
     advance()

@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for src/cache: LRU set-associative behaviour, hierarchy
- * latencies, and MESI-style write invalidation.
+ * latencies, and MESI-style write invalidation; plus a differential of
+ * the simulator's SimCache replica against Cache.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
+#include "common/rng.hh"
+#include "sim/sim_cache.hh"
 
 namespace rppm {
 namespace {
@@ -126,6 +129,77 @@ TEST_P(CacheInclusionTest, LargerCacheNeverWorse)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CacheInclusionTest,
                          ::testing::Values(4, 8, 16, 32, 64));
+
+// ----------------------------------------------------------- SimCache ---
+
+/**
+ * Seeded differential: drive a SimCache and a Cache with one random
+ * stream of reads, writes and invalidations over three times as many
+ * lines as the cache holds (so hits, misses, evictions and invalidations
+ * of both present and absent lines all occur), and require the same
+ * answer on every call and the same final statistics.
+ */
+void
+expectSimCacheMatchesCache(const CacheConfig &cfg, uint64_t seed)
+{
+    Cache ref(cfg);
+    SimCache sim(cfg);
+    Rng rng(seed);
+    const uint64_t span = uint64_t{3} * cfg.numLines();
+    const uint64_t base = uint64_t{1} << 40; // wide tags
+    uint64_t hits = 0;
+    uint64_t invalidated = 0;
+    for (int i = 0; i < 60000; ++i) {
+        const uint64_t line = rng.nextBounded(span);
+        const uint64_t offset = rng.nextBounded(cfg.lineBytes);
+        const uint64_t addr = base + line * cfg.lineBytes + offset;
+        const uint64_t pick = rng.nextBounded(8);
+        if (pick == 0) {
+            const bool inv = ref.invalidate(addr);
+            ASSERT_EQ(sim.invalidateLine(sim.lineOf(addr)), inv)
+                << "call " << i;
+            invalidated += inv;
+        } else {
+            const bool hit = ref.access(addr, pick < 3);
+            ASSERT_EQ(sim.access(addr, pick < 3), hit) << "call " << i;
+            hits += hit;
+        }
+    }
+    EXPECT_EQ(sim.stats().accesses, ref.stats().accesses);
+    EXPECT_EQ(sim.stats().misses, ref.stats().misses);
+    EXPECT_EQ(sim.stats().invalidations, ref.stats().invalidations);
+    // The stream must exercise every path, not just one.
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(ref.stats().misses, 1000u);
+    EXPECT_GT(invalidated, 100u);
+}
+
+TEST(SimCache, MatchesCacheDirectMapped)
+{
+    expectSimCacheMatchesCache({"dm", 8 * 1024, 1, 64, 1}, 11);
+}
+
+TEST(SimCache, MatchesCacheFullyAssociative)
+{
+    expectSimCacheMatchesCache({"fa", 64 * 64, 64, 64, 1}, 12);
+}
+
+TEST(SimCache, MatchesCacheEightWay)
+{
+    expectSimCacheMatchesCache({"l2", 256 * 1024, 8, 64, 1}, 13);
+}
+
+TEST(SimCache, MatchesCacheNonPowerOfTwoSets)
+{
+    // 24 KiB 4-way: 96 sets, so set index and tag take the division path.
+    expectSimCacheMatchesCache({"l1d24k", 24 * 1024, 4, 64, 1}, 14);
+}
+
+TEST(SimCache, MatchesCacheNonPowerOfTwoLine)
+{
+    // 48-byte lines: the address-to-line step divides too.
+    expectSimCacheMatchesCache({"line48", 48 * 4 * 128, 4, 48, 1}, 15);
+}
 
 // ----------------------------------------------------- CacheHierarchy ---
 

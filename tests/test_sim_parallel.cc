@@ -120,9 +120,9 @@ TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
     // Options and architectures that change the simulated interleaving
     // or the sharding geometry must keep every engine identical: the
     // schedule replay honors the quantum and the sync cost, the shard
-    // partition honors non-default line sizes, and heterogeneous
-    // machines exercise per-thread time scales and per-slot cache
-    // parameters.
+    // partition honors non-default line sizes and set counts that are
+    // not powers of two, and heterogeneous machines exercise per-thread
+    // time scales and per-slot cache parameters.
     const WorkloadTrace trace = generateWorkload(richSpec());
     const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
 
@@ -155,6 +155,20 @@ TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
         variants.push_back({"line256", cfg, {}});
     }
     variants.push_back({"bigLittle", bigLittleConfig(2, 2), {}});
+    for (const uint32_t line : {64u, 48u}) {
+        // 96 L1, 768 L2 and 12288 LLC sets: the caches take their
+        // division path and the shard count is capped at the sets'
+        // power-of-two factor; 48-byte lines make the address-to-line
+        // step a division too.
+        MulticoreConfig cfg = baseConfig();
+        cfg.eachCore([line](CoreConfig &c) {
+            c.l1i = {"L1I", line * 4 * 96, 4, line, 1};
+            c.l1d = {"L1D", line * 4 * 96, 4, line, 3};
+            c.l2 = {"L2", line * 8 * 768, 8, line, 10};
+        });
+        cfg.llc = {"LLC", line * 16 * 12288, 16, line, 30};
+        variants.push_back({line == 64 ? "sets96" : "sets96line48", cfg, {}});
+    }
 
     for (const Variant &v : variants) {
         const std::string legacy =
@@ -164,6 +178,39 @@ TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
             opts.jobs = jobs;
             EXPECT_TRUE(dumpResult(simulate(cols, v.cfg, opts)) == legacy)
                 << v.name << " jobs=" << jobs;
+        }
+    }
+}
+
+TEST(ParallelSimulator, BitIdenticalOnMachinesWiderThanTheSharerMask)
+{
+    // The hierarchy's coherence directory packs a sharer mask for up to
+    // 56 cores; wider machines probe every core on a write instead. 56
+    // cores is the widest packed machine, 57 the narrowest wide one and
+    // 66 is past a whole 64-bit word. Every core runs a thread that
+    // writes shared data, so the cores above the mask both issue and
+    // receive invalidations.
+    for (const uint32_t cores : {56u, 57u, 66u}) {
+        WorkloadSpec spec = barrierLoopSpec(cores, 2, 300);
+        spec.name = "wide";
+        spec.csPerEpoch = 1;
+        spec.kernel.sharedFrac = 0.3;
+        spec.kernel.sharedBytes = 16 << 10;
+        MulticoreConfig cfg = baseConfig();
+        cfg.setNumCores(cores);
+        const WorkloadTrace trace = generateWorkload(spec);
+        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+        const SimResult ref = simulateLegacy(trace, cfg);
+        uint64_t high_invalidations = 0;
+        for (uint32_t c = 55; c < cores; ++c)
+            high_invalidations += ref.mem[c].invalidationsReceived;
+        EXPECT_GT(high_invalidations, 0u) << cores << " cores";
+        const std::string legacy = dumpResult(ref);
+        for (const unsigned jobs : kJobCounts) {
+            SimOptions opts;
+            opts.jobs = jobs;
+            EXPECT_TRUE(dumpResult(simulate(cols, cfg, opts)) == legacy)
+                << cores << " cores jobs=" << jobs;
         }
     }
 }
